@@ -1,17 +1,17 @@
-// Ablation (paper §VI future work): replicated-data (Fig. 4) vs
-// data-distributed pipeline. Reports per-rank payload memory, ghost counts,
-// communication traffic and modeled time for both schemes across rank counts.
+// Ablation (paper §VI future work): replicated data (Fig. 4) vs owned-mode
+// data distribution (DataDistribution::kOwned: ranks own Morton-contiguous
+// leaf ranges and import a halo). Reports per-rank hot memory, halo bytes,
+// communication traffic and modeled time for both across rank counts. The
+// energies agree to the bit: both fold the same chunk partials.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/distributed_data.hpp"
-#include "core/drivers.hpp"
 
 int main() {
   using namespace gbpol;
   using namespace gbpol::bench;
 
-  harness::print_figure_header("Ablation", "Replicated (Fig. 4) vs data-distributed");
+  harness::print_figure_header("Ablation", "Replicated (Fig. 4) vs owned data distribution");
   const double scale = harness::env_scale();
   const Molecule shell = molgen::virus_shell(
       static_cast<std::size_t>(60000 * scale), 606060, 0.2, "dist-shell");
@@ -20,40 +20,30 @@ int main() {
 
   ApproxParams params;
   const GBConstants constants;
-  const mpisim::ClusterModel cluster = mpisim::ClusterModel::lonestar4();
+  constexpr double kMiB = 1 << 20;
 
-  Table table({"P", "scheme", "modeled(s)", "comm(s)", "payload/rank(MiB)",
-               "ghost atoms", "bytes sent(MiB)", "E_pol"});
+  Table table({"P", "scheme", "modeled(s)", "comm(s)", "hot/rank(MiB)", "halo(MiB)",
+               "bytes sent(MiB)", "E_pol"});
   for (const int ranks : {4, 12, 48}) {
-    RunConfig config;
-    config.ranks = ranks;
-    config.cluster = cluster;
-
-    RunOptions rep_options = distributed_options(ranks);
-    rep_options.cluster = cluster;
-    const RunResult rep = Engine(pm.prep, params, constants).run(rep_options);
-    table.add_row({Table::integer(ranks), "replicated",
-                   Table::num(rep.modeled_seconds(), 4), Table::num(rep.comm_seconds, 5),
-                   Table::num(static_cast<double>(rep.replicated_bytes) /
-                                  static_cast<double>(ranks) / (1 << 20),
-                              4),
-                   "0", "-", Table::num(rep.energy, 6)});
-
-    const DataDistResult dist =
-        run_oct_data_distributed(pm.prep, params, constants, config);
-    table.add_row(
-        {Table::integer(ranks), "data-distributed", Table::num(dist.modeled_seconds(), 4),
-         Table::num(dist.comm_seconds, 5),
-         Table::num(static_cast<double>(dist.payload_bytes_per_rank_max +
-                                        dist.bins_bytes_per_rank) /
-                        (1 << 20),
-                    4),
-         Table::integer(static_cast<long long>(dist.ghost_atoms_total)),
-         Table::num(static_cast<double>(dist.bytes_sent) / (1 << 20), 4),
-         Table::num(dist.energy, 6)});
+    for (const DataDistribution dist :
+         {DataDistribution::kReplicated, DataDistribution::kOwned}) {
+      RunOptions options = distributed_options(ranks);
+      options.distribution = dist;
+      const RunResult r = Engine(pm.prep, params, constants).run(options);
+      const bool owned = dist == DataDistribution::kOwned;
+      const double per_rank =
+          owned ? static_cast<double>(r.owned_bytes_per_rank)
+                : static_cast<double>(r.replicated_bytes) / static_cast<double>(ranks);
+      table.add_row({Table::integer(ranks), owned ? "owned" : "replicated",
+                     Table::num(r.modeled_seconds(), 4), Table::num(r.comm_seconds, 5),
+                     Table::num(per_rank / kMiB, 4),
+                     Table::num(static_cast<double>(r.owned_halo_bytes) / kMiB, 4),
+                     Table::num(static_cast<double>(r.total_bytes_sent()) / kMiB, 4),
+                     Table::num(r.energy, 6)});
+    }
   }
   harness::emit_table(table, "ablation_data_distribution");
-  std::printf("\n(replicated payload/rank counts the FULL per-rank copy incl. octrees;\n"
-              " data-distributed counts own+ghost payload plus the shared bins)\n");
+  std::printf("\n(replicated hot/rank counts the FULL per-rank copy incl. octrees;\n"
+              " owned counts the owned payload plus its halo)\n");
   return 0;
 }

@@ -1,19 +1,19 @@
 // Ablation (paper §VI future work): explicit dynamic load balancing across
-// ranks. Compares three divisions of the same computation:
-//   static node-node (paper default), point-balanced segments (extension),
-//   and self-scheduled chunks from a shared counter (dynamic, RPC-charged).
-// The interesting column is the compute-makespan: dynamic wins when leaf
-// occupancy is skewed, at the price of fetch RPCs.
+// ranks. Runs the same canonical chunk fold under the three balance
+// policies (core/balance.hpp): the paper's static even split, a cost-model
+// split, and cost-model + modeled work stealing. The interesting column is
+// the compute-makespan: balancing wins when leaf occupancy is skewed, at the
+// price of steal round trips. The energy column is identical on every row
+// of a rank count — the policies move chunks, never the fold.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/drivers.hpp"
 
 int main() {
   using namespace gbpol;
   using namespace gbpol::bench;
 
-  harness::print_figure_header("Ablation", "Static vs balanced vs dynamic work division");
+  harness::print_figure_header("Ablation", "Static vs cost-model vs stealing balance policy");
   // A bound complex plus a distant small fragment yields skewed leaf
   // occupancy (sparse regions produce thin leaves).
   Molecule mol = molgen::bound_complex(12000, 31337);
@@ -26,20 +26,19 @@ int main() {
   ApproxParams params;
   const GBConstants constants;
 
-  Table table({"P", "division", "modeled(s)", "compute max(s)", "comm(s)", "E_pol"});
+  Table table({"P", "policy", "modeled(s)", "compute max(s)", "comm(s)", "migrated",
+               "E_pol"});
   for (const int ranks : {4, 12, 48}) {
-    for (const WorkDivision division :
-         {WorkDivision::kNodeNode, WorkDivision::kNodeBalanced, WorkDivision::kDynamic}) {
-      RunOptions options;
-      options.mode = EngineMode::kDistributed;
-      options.ranks = ranks;
-      options.division = division;
+    for (const auto& [policy, name] :
+         {std::pair{BalancePolicy::kStatic, "static"},
+          std::pair{BalancePolicy::kCostModel, "cost model"},
+          std::pair{BalancePolicy::kSteal, "steal"}}) {
+      RunOptions options = distributed_options(ranks);
+      options.balance = policy;
       const RunResult r = Engine(pm.prep, params, constants).run(options);
-      const char* name = division == WorkDivision::kNodeNode     ? "static node-node"
-                         : division == WorkDivision::kNodeBalanced ? "point-balanced"
-                                                                   : "dynamic (RPC)";
       table.add_row({Table::integer(ranks), name, Table::num(r.modeled_seconds(), 4),
-                     Table::num(r.compute_seconds, 4), Table::num(r.comm_seconds, 5),
+                     Table::num(r.max_compute_seconds(), 4), Table::num(r.comm_seconds, 5),
+                     Table::integer(static_cast<long long>(r.migrated_chunks)),
                      Table::num(r.energy, 6)});
     }
   }

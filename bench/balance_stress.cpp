@@ -69,7 +69,6 @@ int main() {
   for (Entry& e : entries) {
     RunOptions options = distributed_options(ranks);
     options.balance = e.policy;
-    options.canonical_reduction = true;  // identical fold for all three
     options.balance_chunk_leaves = 1;    // fine-grained chunks: room to steal
     e.result = engine.run(options);
   }

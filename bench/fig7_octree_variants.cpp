@@ -1,5 +1,5 @@
 // Fig. 7: performance comparison of the octree-based algorithms — OCT_CILK
-// (shared-memory dual-tree), OCT_MPI and OCT_MPI+CILK — across the
+// (one rank, 12 work-stealing workers), OCT_MPI and OCT_MPI+CILK — across the
 // ZDock-like suite on one modeled 12-core node, with approximate math ON
 // (as in the paper's Fig. 7), rows sorted by OCT_CILK time.
 #include <algorithm>

@@ -54,11 +54,9 @@ int main() {
     // is a function of the rank count, so the 0-ulp contract is stated
     // against the same-P replicated fold.
     RunOptions replicated = distributed_options(ranks);
-    replicated.canonical_reduction = true;
     const RunResult baseline = engine.run(replicated);
 
     RunOptions options = distributed_options(ranks);
-    options.canonical_reduction = true;
     options.distribution = DataDistribution::kOwned;
     RunResult owned = engine.run(options);
     if (owned.owned_bytes_per_rank == 0 || owned.replicated_bytes == 0) {

@@ -7,6 +7,7 @@
 //
 // Options:
 //   --driver NAME     naive | serial | cilk | mpi | hybrid | datadist  [serial]
+//                     (datadist = mpi with owned-mode data distribution)
 //   --eps X           approximation parameter for both phases          [0.9]
 //   --cores N         modeled cores (ranks/threads per driver)         [12]
 //   --leaf N          octree leaf capacity                             [32]
@@ -22,7 +23,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/distributed_data.hpp"
 #include "core/engine.hpp"
 #include "core/forces.hpp"
 #include "core/naive.hpp"
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t slot = 0; slot < mol.size(); ++slot)
       born_sorted[slot] = r.born_radii[prep.atoms_tree.original_index(slot)];
   } else if (driver == "serial" || driver == "cilk" || driver == "mpi" ||
-             driver == "hybrid") {
+             driver == "hybrid" || driver == "datadist") {
     const Engine engine(prep, params, constants);
     RunOptions options;
     if (driver == "serial") {
@@ -131,17 +131,14 @@ int main(int argc, char** argv) {
       options.mode = EngineMode::kDistributed;
       options.threads_per_rank = driver == "hybrid" ? 6 : 1;
       options.ranks = std::max(1, cores / options.threads_per_rank);
+      // datadist: owned-mode data distribution (ranks own leaf ranges and
+      // exchange halos); same fold, so the same energy as mpi.
+      if (driver == "datadist") options.distribution = DataDistribution::kOwned;
     }
     const RunResult r = engine.run(options);
     energy = r.energy;
     modeled = r.modeled_seconds();
     born_sorted = r.born_sorted;
-  } else if (driver == "datadist") {
-    RunConfig config;
-    config.ranks = cores;
-    const DataDistResult r = run_oct_data_distributed(prep, params, constants, config);
-    energy = r.energy;
-    modeled = r.modeled_seconds();
   } else {
     usage(argv[0]);
   }

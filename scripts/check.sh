@@ -3,7 +3,8 @@
 # (unit, property, checkpoint, balance, owned, integrity, incremental, serve,
 # trace) under each, plus repo-wide gates: the removed run_oct_* free
 # functions must not reappear anywhere (the Engine/Service API surface is
-# final), the balance_stress bench must
+# final), nor the deleted legacy driver symbols (one replicated chunk-fold
+# driver), perfbench's metric unit tests must pass, the balance_stress bench must
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
 # records the ratios in bench_out/micro_kernels.json), the approx-math
@@ -50,6 +51,21 @@ if grep -rnE 'run_oct_(serial|cilk|distributed)' src bench tests examples 2>/dev
   echo "check.sh: run_oct_* symbol found in-tree (the API was removed; use Engine::run or gbpol::Service)" >&2
   exit 1
 fi
+
+echo "=== grep gate: one replicated chunk-fold driver ==="
+# OCT_CILK and OCT_MPI+CILK run on the canonical chunk-fold driver; the
+# legacy distributed driver, the dual-tree recursion, the data-distributed
+# prototype, the canonical_reduction switch and the kNodeBalanced/kDynamic
+# divisions were deleted with it and must not come back. The harness package
+# names ("oct_cilk" in quotes) are labels, not symbols, and stay allowed.
+if grep -rnP '(?<!")\b(oct_distributed|oct_cilk)\b(?!")|dual_subtree|recurse_dual|canonical_reduction|kNodeBalanced|kDynamic|distributed_data' \
+    src bench tests examples 2>/dev/null; then
+  echo "check.sh: a deleted driver symbol is back in-tree (every replicated shape runs on detail::oct_balanced)" >&2
+  exit 1
+fi
+
+echo "=== perfbench: metric unit tests ==="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "=== grep gate: no per-step re-preparation in trajectory workloads ==="
 # Trajectory-shaped examples and benches must route step loops through

@@ -96,7 +96,7 @@ struct ChunkLedgerSections {
 ChunkLedgerSections read_chunk_ledger(const Snapshot& snap,
                                       std::size_t first_section);
 
-// When to checkpoint. Attached to a driver RunConfig; an empty dir disables
+// When to checkpoint. Attached to RunOptions::checkpoint; an empty dir disables
 // the whole subsystem (zero overhead on the default path).
 struct CheckpointPolicy {
   std::string dir;                        // snapshot directory; empty = off

@@ -103,13 +103,6 @@ class BornSolver {
                                std::span<const std::uint32_t> entry_ids,
                                BornAccumulator& acc) const;
 
-  // Dual-tree pass over the full trees (OCT_CILK algorithm), serial.
-  void accumulate_dual_tree(BornAccumulator& acc) const;
-  // Dual-tree restricted to one atoms-subtree (used for parallel spawns:
-  // distinct atom subtrees write disjoint accumulator entries).
-  void accumulate_dual_subtree(std::uint32_t atom_node, std::uint32_t q_node,
-                               BornAccumulator& acc) const;
-
   // PUSH-INTEGRALS-TO-ATOMS for sorted atom slots in [atom_lo, atom_hi);
   // writes R into born_sorted (atoms_tree order, full-size span).
   void push_to_atoms(const BornAccumulator& acc, std::uint32_t atom_lo,
@@ -138,9 +131,6 @@ class BornSolver {
   void near_entries_impl(const InteractionLists& lists,
                          std::span<const std::uint32_t> entry_ids,
                          BornAccumulator& acc) const;
-  template <int Power, bool Dipole>
-  void dual_subtree(std::uint32_t atom_node, std::uint32_t q_node,
-                    BornAccumulator& acc) const;
   void push_recursive(const BornAccumulator& acc, std::uint32_t atom_node,
                       double inherited, std::uint32_t atom_lo, std::uint32_t atom_hi,
                       std::span<double> born_sorted) const;

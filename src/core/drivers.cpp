@@ -4,13 +4,9 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <deque>
-#include <exception>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <span>
 
@@ -30,60 +26,6 @@
 namespace gbpol {
 namespace {
 
-// A dual-tree task: all interactions between subtree `a` of one octree and
-// subtree `b` of another. expand_pair_frontier splits the recursion
-// breadth-first until at least `min_tasks` independent tasks exist, so the
-// work-stealing pool has parallel slack; each task is then evaluated by the
-// solvers' *_dual_subtree entry points.
-struct PairTask {
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-};
-
-std::vector<PairTask> expand_pair_frontier(const Octree& tree_a, const Octree& tree_b,
-                                           double far_multiplier,
-                                           std::size_t min_tasks) {
-  std::vector<PairTask> terminal;
-  std::deque<PairTask> frontier;
-  if (tree_a.empty() || tree_b.empty()) return terminal;
-  frontier.push_back({0, 0});
-  while (!frontier.empty() && terminal.size() + frontier.size() < min_tasks) {
-    const PairTask pair = frontier.front();
-    frontier.pop_front();
-    const OctreeNode& a = tree_a.node(pair.a);
-    const OctreeNode& b = tree_b.node(pair.b);
-    const double reach = (a.radius + b.radius) * far_multiplier;
-    const bool far = distance2(a.centroid, b.centroid) > reach * reach;
-    if (far || (a.is_leaf() && b.is_leaf())) {
-      terminal.push_back(pair);
-      continue;
-    }
-    const bool split_a = !a.is_leaf() && (b.is_leaf() || a.radius >= b.radius);
-    if (split_a) {
-      for (std::uint8_t c = 0; c < a.child_count; ++c)
-        frontier.push_back({static_cast<std::uint32_t>(a.first_child) + c, pair.b});
-    } else {
-      for (std::uint8_t c = 0; c < b.child_count; ++c)
-        frontier.push_back({pair.a, static_cast<std::uint32_t>(b.first_child) + c});
-    }
-  }
-  terminal.insert(terminal.end(), frontier.begin(), frontier.end());
-  return terminal;
-}
-
-// Chunk grain for flat loops over interaction lists: ~64 chunks per worker
-// gives the stealing scheduler slack without per-entry task overhead. This is
-// the granularity fix the list engine buys — the recursive engine could only
-// parallelize over source leaves.
-std::size_t list_grain(std::size_t size, int workers) {
-  return std::max<std::size_t>(1, size / (64 * static_cast<std::size_t>(workers)));
-}
-
-// Tag bases for the degraded-mode recovery chains; + dead rank id
-// disambiguates concurrent recoveries of different ranks.
-constexpr int kTagBornChain = 9000;
-constexpr int kTagBornSlice = 10000;
-constexpr int kTagEpolChain = 11000;
 // 12000 is the owned-mode Born halo exchange (core/halo_exchange.cpp);
 // 12001 gathers the owned Born slices to the writer at the end of oct_owned.
 constexpr int kTagOwnedBorn = 12001;
@@ -127,21 +69,98 @@ void traced_chunk(std::uint64_t lo, std::uint64_t hi, obs::PhaseId phase,
   obs::emit(obs::EventKind::kChunkDone, lo, hi, arg);
 }
 
-// Phase bracket for pool phases: returns max-over-workers busy seconds.
-class PoolPhase {
+// One rank's workers (OCT_MPI+CILK's cilk++ threads; OCT_CILK is the one-rank
+// case). With one worker there is no pool: each chunk runs inline on the
+// rank thread as its own traced compute region — the per-chunk schedule every
+// fault, kill and corruption plan is keyed to. With p workers a wave of at
+// most p chunks runs as ws tasks and is charged as its max-worker busy time
+// (what a p-core node needs): the thread CPU time each worker spends inside
+// task bodies, so a worker idling at the wave's join is not busy. Only
+// compute happens in the tasks; every Comm call stays on the rank thread.
+class RankWorkers {
  public:
-  explicit PoolPhase(ws::Scheduler& sched) : sched_(sched) { sched_.reset_stats(); }
-  double finish() {
-    const auto st = sched_.stats();
-    steals = st.steals;
-    tasks = st.tasks_executed;
-    return st.max_busy();
+  explicit RankWorkers(int workers) {
+    if (workers <= 1) return;
+    pool_ = std::make_unique<ws::Scheduler>(workers);
+    busy_.resize(static_cast<std::size_t>(workers));
   }
+
+  std::size_t width() const { return pool_ ? busy_.size() : 1; }
+
+  // body(c) computes chunk c of `plan`; `wave` holds at most width() chunks.
+  template <typename Body>
+  void run_wave(mpisim::Comm& comm, std::span<const std::uint32_t> wave,
+                const ChunkPlan& plan, obs::PhaseId phase, const Body& body) {
+    if (!pool_) {
+      for (const std::uint32_t c : wave) {
+        const Segment seg = plan.chunk_range(c);
+        traced_chunk(seg.lo, seg.hi, phase, [&] {
+          mpisim::Comm::ComputeRegion region(comm);
+          body(c);
+        });
+      }
+      return;
+    }
+    // Workers emit their chunk events into their own streams; the service
+    // times are added on the rank thread (the per-rank slot is not atomic).
+    const bool traced = obs::session_active();
+    std::vector<std::uint64_t> service_ns(traced ? wave.size() : 0, 0);
+    charged(comm, wave.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (!traced) {
+          body(wave[i]);
+          continue;
+        }
+        const Segment seg = plan.chunk_range(wave[i]);
+        const auto arg = static_cast<std::uint8_t>(phase);
+        obs::emit(obs::EventKind::kChunkDispatch, seg.lo, seg.hi, arg);
+        WallTimer timer;
+        body(wave[i]);
+        service_ns[i] = static_cast<std::uint64_t>(timer.seconds() * 1e9);
+        obs::emit(obs::EventKind::kChunkDone, seg.lo, seg.hi, arg);
+      }
+    });
+    for (const std::uint64_t ns : service_ns) obs::add_chunk_service(obs::current_rank(), ns);
+  }
+
+  // body(lo, hi) over disjoint sub-ranges of [0, n): a per-item step whose
+  // result does not depend on the split (the Born fold and push).
+  template <typename Body>
+  void run_range(mpisim::Comm& comm, std::uint32_t n, const Body& body) {
+    if (!pool_) {
+      mpisim::Comm::ComputeRegion region(comm);
+      body(0u, n);
+      return;
+    }
+    const std::size_t grain = std::max<std::size_t>(1, n / (16 * width()));
+    charged(comm, n, grain, [&](std::size_t lo, std::size_t hi) {
+      body(static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi));
+    });
+  }
+
   std::uint64_t steals = 0;
   std::uint64_t tasks = 0;
 
  private:
-  ws::Scheduler& sched_;
+  // Runs body over [0, n) in grains on the pool, charging the max-worker
+  // busy time.
+  template <typename Body>
+  void charged(mpisim::Comm& comm, std::size_t n, std::size_t grain, const Body& body) {
+    std::fill(busy_.begin(), busy_.end(), 0.0);
+    pool_->reset_stats();
+    ws::parallel_for(*pool_, 0, n, grain, [&](std::size_t lo, std::size_t hi) {
+      ThreadCpuTimer cpu;
+      body(lo, hi);
+      busy_[static_cast<std::size_t>(ws::Scheduler::worker_id())] += cpu.seconds();
+    });
+    const ws::Scheduler::Stats st = pool_->stats();
+    steals += st.steals;
+    tasks += st.tasks_executed;
+    comm.add_compute_seconds(*std::max_element(busy_.begin(), busy_.end()));
+  }
+
+  std::unique_ptr<ws::Scheduler> pool_;
+  std::vector<double> busy_;  // per worker, this step
 };
 
 // Scheduled snapshot-byte corruption (CorruptionPlan::SnapshotBytes): flip
@@ -174,6 +193,105 @@ std::uint64_t integrity_job_word(bool guards_on) {
   return ckpt::fnv1a64({kIntegrityTag, support::kIntegrityEpoch,
                         static_cast<std::uint64_t>(support::kChecksumBlockBytes),
                         guards_on ? 1ull : 0ull});
+}
+
+
+// The canonical Born fold skips the all-zero blocks of each chunk partial: a
+// chunk's deposits touch only the accumulator slots near its quadrature
+// leaves. Skipping is exact — an accumulator slot starts at +0.0 and IEEE
+// addition never turns it into -0.0, so adding a zero leaves every bit
+// unchanged — and the fold's modeled data motion counts only touched blocks.
+constexpr std::size_t kFoldBlock = 64;  // doubles
+
+std::vector<std::uint32_t> touched_blocks(std::span<const double> partial) {
+  std::vector<std::uint32_t> blocks;
+  for (std::size_t lo = 0; lo < partial.size(); lo += kFoldBlock) {
+    const auto block = partial.subspan(lo, std::min(kFoldBlock, partial.size() - lo));
+    if (std::any_of(block.begin(), block.end(), [](double x) { return x != 0.0; }))
+      blocks.push_back(static_cast<std::uint32_t>(lo / kFoldBlock));
+  }
+  return blocks;
+}
+
+// One phase's chunk geometry and deterministic schedule: identical on every
+// rank, and independent of the policy in everything the fold depends on.
+struct PhasePlan {
+  ChunkPlan chunks;
+  BalanceAssignment assign;
+  std::vector<std::vector<StealEvent>> steals;  // per thief, in firing order
+  std::vector<int> executor;                    // per chunk, post-steal
+};
+struct PhasePlans {
+  PhasePlan born;
+  PhasePlan epol;
+};
+
+// Chunk cost estimates from a host-side list build: a source leaf costs its
+// near-field point pairs (target points x source points per near entry)
+// plus one aggregated evaluation per source point for each far entry.
+// Occupancy x total — the coarser interaction_costs overload — under-prices
+// dense regions, because near-field work grows with the neighbourhood's
+// density, not just the leaf's own count. The list walk is pure geometry
+// (no Born values), so the E_pol lists can be built before phase 1 runs.
+std::vector<double> chunk_costs(const Octree& target, const Octree& source,
+                                const ChunkPlan& plan, const InteractionLists& lists) {
+  const auto leaves = source.leaves();
+  std::vector<std::uint32_t> leaf_of(source.nodes().size(), 0);
+  for (std::uint32_t i = 0; i < leaves.size(); ++i) leaf_of[leaves[i]] = i;
+  std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
+  for (const InteractionLists::Near& nr : lists.near)
+    per_leaf[leaf_of[nr.source_leaf]] +=
+        static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
+        source.node(nr.source_leaf).count();
+  for (const InteractionLists::Far& fr : lists.far)
+    per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
+  const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
+  std::vector<double> costs(plan.n_chunks, 0.0);
+  for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
+    const Segment seg = plan.chunk_range(c);
+    for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
+  }
+  return costs;
+}
+
+// Both phases' plans for `ranks` ranks. Chunks are sized from the total
+// worker count (ranks x threads), so every shape with the same total cuts
+// the same chunks. kStatic even-splits regardless of the costs, so the cost
+// build is skipped there and the baseline stays list-free; atom chunks
+// (WorkDivision::kAtomBased) are not priced either — every policy
+// even-splits them.
+PhasePlans plan_phases(const Prepared& prep, const ApproxParams& params,
+                       const BornSolver& born_solver, const RunOptions& options,
+                       int ranks, int workers) {
+  const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
+  const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+  const bool atom_epol = options.division == WorkDivision::kAtomBased;
+  PhasePlans plans;
+  plans.born.chunks = make_chunk_plan(n_qleaves, workers, options.balance_chunk_leaves);
+  plans.epol.chunks =
+      make_chunk_plan(atom_epol ? static_cast<std::uint32_t>(prep.num_atoms()) : n_aleaves,
+                      workers, options.balance_chunk_leaves);
+  std::vector<double> born_costs(plans.born.chunks.n_chunks, 0.0);
+  std::vector<double> epol_costs(plans.epol.chunks.n_chunks, 0.0);
+  if (options.balance != BalancePolicy::kStatic) {
+    born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, plans.born.chunks,
+                             born_solver.build_lists(0, n_qleaves));
+    if (!atom_epol)
+      epol_costs = chunk_costs(
+          prep.atoms_tree, prep.atoms_tree, plans.epol.chunks,
+          build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
+                                  {.far_multiplier = params.epol_far_multiplier(),
+                                   .exact_at_target_leaf = true,
+                                   .source_leaf_lo = 0,
+                                   .source_leaf_hi = n_aleaves}));
+  }
+  for (auto [plan, costs] : {std::pair{&plans.born, &born_costs},
+                             std::pair{&plans.epol, &epol_costs}}) {
+    plan->assign = plan_balance(*costs, ranks, options.balance);
+    plan->steals = steals_by_thief(plan->assign, ranks);
+    plan->executor = executor_of(plan->assign, plan->chunks.n_chunks);
+  }
+  return plans;
 }
 
 }  // namespace
@@ -215,736 +333,23 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
   return result;
 }
 
-RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
-                   const GBConstants& constants, int threads) {
-  RunResult result;
-  result.threads_per_rank = std::max(1, threads);
-  WallTimer wall;
-
-  ws::Scheduler sched(result.threads_per_rank);
-  const BornSolver born_solver(prep, params);
-  const std::size_t min_tasks = static_cast<std::size_t>(16 * result.threads_per_rank);
-
-  // Born phase: dual-tree tasks into per-worker accumulators (two tasks may
-  // share an atoms subtree, so a shared accumulator would race).
-  const auto born_tasks = expand_pair_frontier(prep.atoms_tree, prep.q_tree,
-                                               params.born_far_multiplier(), min_tasks);
-  std::vector<BornAccumulator> worker_acc(
-      static_cast<std::size_t>(result.threads_per_rank));
-  for (auto& acc : worker_acc) acc = born_solver.make_accumulator();
-
-  obs::phase_begin(obs::PhaseId::kBornAccum);
-  PoolPhase born_phase(sched);
-  ws::parallel_for(sched, 0, born_tasks.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    auto& acc = worker_acc[static_cast<std::size_t>(ws::Scheduler::worker_id())];
-    for (std::size_t i = lo; i < hi; ++i)
-      born_solver.accumulate_dual_subtree(born_tasks[i].a, born_tasks[i].b, acc);
-  });
-  result.compute_seconds += born_phase.finish();
-  result.steals += born_phase.steals;
-  result.tasks += born_phase.tasks;
-
-  // Merge per-worker accumulators in worker order (deterministic), then push.
-  ThreadCpuTimer merge_cpu;
-  BornAccumulator& acc = worker_acc.front();
-  for (std::size_t w = 1; w < worker_acc.size(); ++w) acc.add(worker_acc[w]);
-  result.compute_seconds += merge_cpu.seconds();
-
-  result.born_sorted.assign(prep.num_atoms(), 0.0);
-  const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
-  obs::phase_begin(obs::PhaseId::kPush);
-  PoolPhase push_phase(sched);
-  ws::parallel_for(sched, 0, n_atoms,
-                   std::max<std::size_t>(1, n_atoms / min_tasks),
-                   [&](std::size_t lo, std::size_t hi) {
-                     born_solver.push_to_atoms(acc, static_cast<std::uint32_t>(lo),
-                                               static_cast<std::uint32_t>(hi),
-                                               result.born_sorted);
-                   });
-  result.compute_seconds += push_phase.finish();
-
-  // Energy phase: deterministic parallel reduction over dual-tree tasks.
-  ThreadCpuTimer bins_cpu;
-  const EpolSolver epol_solver(prep, result.born_sorted, params, constants);
-  const auto epol_tasks = expand_pair_frontier(prep.atoms_tree, prep.atoms_tree,
-                                               params.epol_far_multiplier(), min_tasks);
-  result.compute_seconds += bins_cpu.seconds();
-
-  obs::phase_begin(obs::PhaseId::kEpol);
-  PoolPhase epol_phase(sched);
-  result.energy = ws::parallel_reduce<double>(
-      sched, 0, epol_tasks.size(), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        double sum = 0.0;
-        for (std::size_t i = lo; i < hi; ++i)
-          sum += epol_solver.energy_dual_subtree(epol_tasks[i].a, epol_tasks[i].b);
-        return sum;
-      },
-      [](double l, double r) { return l + r; });
-  result.compute_seconds += epol_phase.finish();
-  result.steals += epol_phase.steals;
-  result.tasks += epol_phase.tasks;
-  obs::phase_end();
-
-  result.wall_seconds = wall.seconds();
-  // One address space: data is shared, accumulators are per worker.
-  result.replicated_bytes = prep.replicated_footprint().bytes +
-                            worker_acc.size() * acc.flat().size_bytes();
-  return result;
-}
-
-RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
-                          const GBConstants& constants, const RunConfig& config) {
-  RunResult result;
-  result.ranks = std::max(1, config.ranks);
-  result.threads_per_rank = std::max(1, config.threads_per_rank);
-  const int P = result.ranks;
-  const int p = result.threads_per_rank;
-
-  const BornSolver born_solver(prep, params);
-  const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
-  const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
-  const std::uint32_t n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-
-  // Precomputed point-balanced segments for the kNodeBalanced extension.
-  std::vector<Segment> balanced_q, balanced_a;
-  if (config.division == WorkDivision::kNodeBalanced) {
-    balanced_q = leaf_segments_by_points(prep.q_tree, P);
-    balanced_a = leaf_segments_by_points(prep.atoms_tree, P);
-  }
-
-  std::vector<double> born_shared(prep.num_atoms(), 0.0);  // filled by rank 0
-  double energy_shared = 0.0;
-  std::size_t per_rank_extra_bytes = 0;
-
-  // Shared chunk counters for the kDynamic division: they model a work
-  // server on rank 0 — every fetch is charged as an RPC round trip.
-  std::atomic<std::uint32_t> born_cursor{0};
-  std::atomic<std::uint32_t> epol_cursor{0};
-  const std::uint32_t born_chunk =
-      std::max<std::uint32_t>(1, n_qleaves / static_cast<std::uint32_t>(8 * P));
-  const std::uint32_t epol_chunk =
-      std::max<std::uint32_t>(1, n_aleaves / static_cast<std::uint32_t>(8 * P));
-
-  // Degraded-mode recovery needs the bit-deterministic configurations: one
-  // thread per rank (no work-stealing merge order) and a node division
-  // (whole leaves, so a dead rank's range re-partitions exactly). For those,
-  // the fault-tolerant collectives + recovery loops below are used even in
-  // fault-free runs (they fold in the identical order, so results match the
-  // plain path bit-for-bit). Other configurations keep the plain
-  // collectives, which fail fast if a rank dies.
-  const bool use_ft = p == 1 && (config.division == WorkDivision::kNodeNode ||
-                                 config.division == WorkDivision::kNodeBalanced);
-
-  const auto q_segment = [&](int rr) {
-    return config.division == WorkDivision::kNodeBalanced
-               ? balanced_q[static_cast<std::size_t>(rr)]
-               : even_segment(n_qleaves, P, rr);
-  };
-  const auto l_segment = [&](int rr) {
-    return config.division == WorkDivision::kNodeBalanced
-               ? balanced_a[static_cast<std::size_t>(rr)]
-               : even_segment(n_aleaves, P, rr);
-  };
-
-  // ---- Checkpoint/restart (ckpt/snapshot.hpp). Only the bit-deterministic
-  // configurations checkpoint: their chunked re-execution is bit-identical
-  // to the uninterrupted run, so a resumed job lands on the same answer to
-  // the last ulp. The kill plan rides the same chunk loops (its polls are
-  // the chunk boundaries), so it is honoured under the same conditions.
-  const ckpt::CheckpointPolicy& policy = config.checkpoint;
-  const bool use_ckpt = use_ft && (policy.enabled() || config.kill.armed);
-  const std::uint32_t chunk = std::max<std::uint32_t>(1, policy.chunk_leaves);
-  const std::uint64_t job_key = ckpt::fnv1a64(
-      {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-       static_cast<std::uint64_t>(config.division),
-       static_cast<std::uint64_t>(params.traversal),
-       integrity_job_word(config.integrity_guards), policy.job_salt});
-  const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
-                                  P, job_key);
-
-  // Restore decision, made once up front so every rank agrees on the cut.
-  // The set must pass shape validation in full — section lengths and cursors
-  // consistent with THIS job — or it is ignored wholesale: a corrupt or
-  // mismatched store can cost a cold start, never a wrong answer.
-  std::vector<ckpt::Snapshot> restored;
-  bool resume = false;
-  if (use_ft && policy.enabled() && policy.resume) {
-    if (auto set = store.load_latest()) {
-      const std::size_t acc_len = born_solver.make_accumulator().flat().size();
-      bool valid = true;
-      for (int rr = 0; rr < P && valid; ++rr) {
-        const ckpt::Snapshot& s = (*set)[static_cast<std::size_t>(rr)];
-        switch (s.phase) {
-          case ckpt::Phase::kBornAccum:
-            valid = s.sections.size() == 1 && s.sections[0].size() == acc_len &&
-                    s.cursor <= static_cast<std::uint64_t>(q_segment(rr).count());
-            break;
-          case ckpt::Phase::kPush:
-            valid = s.sections.size() == 1 && s.sections[0].size() == acc_len &&
-                    s.cursor == 0;
-            break;
-          case ckpt::Phase::kEpol:
-            valid = s.sections.size() == 2 && s.sections[0].size() == n_atoms &&
-                    s.sections[1].size() == 2 &&
-                    s.cursor <= static_cast<std::uint64_t>(l_segment(rr).count());
-            break;
-        }
-      }
-      if (valid) {
-        restored = std::move(*set);
-        resume = true;
-      }
-    }
-  }
-  const ckpt::Phase resume_phase = resume ? restored[0].phase : ckpt::Phase::kBornAccum;
-
-  mpisim::Runtime::Config rt;
-  rt.ranks = P;
-  rt.threads_per_rank = p;
-  rt.cluster = config.cluster;
-  rt.faults = config.faults;
-  if (use_ckpt) rt.kill = config.kill;
-  rt.stall_timeout_seconds = config.stall_timeout_seconds;
-  rt.corruption = config.corruption;
-  rt.integrity_guards = config.integrity_guards;
-
-  const auto report = mpisim::run_on(config.pool, rt, [&](mpisim::Comm& comm) {
-    const int r = comm.rank();
-    // Hybrid ranks own a worker pool; pure-MPI ranks compute inline.
-    std::unique_ptr<ws::Scheduler> sched;
-    if (p > 1) sched = std::make_unique<ws::Scheduler>(p);
-
-    // Resume bookkeeping: phases before resume_phase are skipped — their
-    // results (including the separating collectives') are in the snapshot.
-    const bool skip_to_push = resume && resume_phase >= ckpt::Phase::kPush;
-    const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
-    std::uint32_t phase_boundaries = 0;
-    std::uint64_t snapshot_ordinal = 0;  // per-rank save order, for injection
-    const auto save_snapshot = [&](ckpt::Phase phase, std::uint64_t cursor,
-                                   std::vector<std::vector<double>> sections) {
-      ckpt::Snapshot snap;
-      snap.rank = static_cast<std::uint32_t>(r);
-      snap.ranks = static_cast<std::uint32_t>(P);
-      snap.phase = phase;
-      snap.cursor = cursor;
-      snap.job_key = job_key;
-      snap.sections = std::move(sections);
-      const std::string path = store.save(snap);
-      std::uint64_t bit = 0;
-      if (!path.empty() &&
-          comm.corruption_schedule().snapshot_bit(r, snapshot_ordinal, &bit)) {
-        corrupt_snapshot_file(path, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, snapshot_ordinal, 0,
-                  /*site=*/3);
-      }
-      ++snapshot_ordinal;
-    };
-    // Collective-boundary snapshot cadence (policy.every_n_collectives).
-    const auto boundary_due = [&] {
-      const bool due = policy.every_n_collectives > 0 &&
-                       phase_boundaries % policy.every_n_collectives == 0;
-      ++phase_boundaries;
-      return due;
-    };
-    // Chain receive for the recovery relays: a predecessor can only vanish
-    // mid-chain when a process kill made it abandon — then this rank
-    // abandons too. Any other mid-chain loss is a protocol breach (scheduled
-    // deaths happen at collective entries, never inside a chain).
-    const auto chain_recv = [&](std::span<double> buf, int src, int tag) {
-      const mpisim::RecvStatus rs = comm.recv_ft(buf, src, tag);
-      if (rs.ok()) return;
-      if (comm.kill_requested()) comm.abandon();
-      std::fprintf(stderr, "driver: rank %d: lost chain peer %d (tag %d)\n", r,
-                   src, tag);
-      std::terminate();
-    };
-
-    // ---- Step 2: approximated integrals for this rank's Q-leaf segment.
-    obs::phase_begin(obs::PhaseId::kBornAccum);
-    const Segment q_seg = q_segment(r);
-    BornAccumulator acc = born_solver.make_accumulator();
-    if (config.division == WorkDivision::kDynamic) {
-      // Self-scheduled chunks from the shared counter (rank-serial).
-      mpisim::Comm::ComputeRegion region(comm);
-      for (;;) {
-        const std::uint32_t lo = born_cursor.fetch_add(born_chunk);
-        comm.charge_rpc(0, 2 * sizeof(std::uint32_t));
-        if (lo >= n_qleaves) break;
-        const std::uint32_t hi = std::min(lo + born_chunk, n_qleaves);
-        traced_chunk(lo, hi, obs::PhaseId::kBornAccum,
-                     [&] { born_solver.accumulate_qleaf_range(lo, hi, acc); });
-      }
-    } else if (p == 1 && use_ckpt) {
-      // Chunked evaluation with kill polls and periodic snapshots. Chunk
-      // concatenation is bit-identical to the one-shot full-range pass:
-      // build_lists emits entries per source leaf in ascending order, so the
-      // per-slot deposit order is unchanged (same argument as the recovery
-      // relay chains below).
-      std::uint32_t done = 0;  // leaves completed within this rank's segment
-      if (resume && !skip_to_push) {
-        const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-        std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                  acc.flat().begin());
-        done = static_cast<std::uint32_t>(snap.cursor);
-      }
-      // Phase-entry snapshot: keeps the kBornAccum restore set complete for
-      // every rank from the first poll on, whatever the kill timing.
-      if (!skip_to_push && policy.enabled())
-        save_snapshot(ckpt::Phase::kBornAccum, done,
-                      {std::vector<double>(acc.flat().begin(), acc.flat().end())});
-      std::uint32_t since_save = 0;
-      while (!skip_to_push && done < q_seg.count()) {
-        const std::uint32_t lo = q_seg.lo + done;
-        const std::uint32_t hi = std::min(lo + chunk, q_seg.hi);
-        traced_chunk(lo, hi, obs::PhaseId::kBornAccum, [&] {
-          mpisim::Comm::ComputeRegion region(comm);
-          if (params.traversal == TraversalMode::kList) {
-            const InteractionLists lists = born_solver.build_lists(lo, hi);
-            born_solver.accumulate_lists(lists, acc);
-          } else {
-            born_solver.accumulate_qleaf_range(lo, hi, acc);
-          }
-        });
-        done = hi - q_seg.lo;
-        // Commit the due snapshot BEFORE the kill poll: progress is durable
-        // at every poll point, and a kill only ever loses work since the
-        // last commit — the SIGKILL model never snapshots at the kill point
-        // itself.
-        if (policy.enabled() && policy.every_k_chunks > 0 &&
-            ++since_save >= policy.every_k_chunks) {
-          since_save = 0;
-          save_snapshot(ckpt::Phase::kBornAccum, done,
-                        {std::vector<double>(acc.flat().begin(), acc.flat().end())});
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-    } else if (p == 1) {
-      traced_chunk(q_seg.lo, q_seg.hi, obs::PhaseId::kBornAccum, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = born_solver.build_lists(q_seg.lo, q_seg.hi);
-          born_solver.accumulate_lists(lists, acc);
-        } else {
-          born_solver.accumulate_qleaf_range(q_seg.lo, q_seg.hi, acc);
-        }
-      });
-    } else {
-      std::vector<BornAccumulator> worker_acc(static_cast<std::size_t>(p));
-      for (auto& wa : worker_acc) wa = born_solver.make_accumulator();
-      sched->reset_stats();
-      if (params.traversal == TraversalMode::kList) {
-        // Build once, then flat chunked loops over both lists: task count is
-        // list-length bound, not quadrature-leaf bound.
-        const InteractionLists lists =
-            born_solver.build_lists_parallel(*sched, q_seg.lo, q_seg.hi);
-        ws::parallel_for(*sched, 0, lists.far.size(), list_grain(lists.far.size(), p),
-                         [&](std::size_t lo, std::size_t hi) {
-                           auto& wa = worker_acc[static_cast<std::size_t>(
-                               ws::Scheduler::worker_id())];
-                           born_solver.accumulate_far_range(lists, lo, hi, wa);
-                         });
-        ws::parallel_for(*sched, 0, lists.near.size(),
-                         list_grain(lists.near.size(), p),
-                         [&](std::size_t lo, std::size_t hi) {
-                           auto& wa = worker_acc[static_cast<std::size_t>(
-                               ws::Scheduler::worker_id())];
-                           born_solver.accumulate_near_range(lists, lo, hi, wa);
-                         });
-      } else {
-        ws::parallel_for(*sched, q_seg.lo, q_seg.hi, 1,
-                         [&](std::size_t lo, std::size_t hi) {
-                           auto& wa = worker_acc[static_cast<std::size_t>(
-                               ws::Scheduler::worker_id())];
-                           born_solver.accumulate_qleaf_range(
-                               static_cast<std::uint32_t>(lo),
-                               static_cast<std::uint32_t>(hi), wa);
-                         });
-      }
-      comm.add_compute_seconds(sched->stats().max_busy());
-      mpisim::Comm::ComputeRegion region(comm);  // merge on the rank thread
-      for (int w = 0; w < p; ++w) acc.add(worker_acc[static_cast<std::size_t>(w)]);
-    }
-
-    // ---- Step 3: gather partial integrals from every rank.
-    //
-    // Fault-tolerant path: on kRankDied the ranks in st.missing died without
-    // contributing their Born partials. Survivors re-partition each dead
-    // rank's Q-leaf segment (workdiv::sub_segment) and recompute it as a
-    // RELAY CHAIN: survivor j receives the accumulator-in-progress from
-    // survivor j-1, extends it with its own sub-range, and passes it on.
-    // Chaining — rather than summing independent partials — reproduces the
-    // dead rank's sequential fold operation-for-operation, which is what
-    // makes the recovered energy bit-identical to the fault-free run (the
-    // far/near deposits of consecutive sub-ranges touch accumulator slots in
-    // the same per-slot order as one full-range pass). The last survivor
-    // keeps the result and publishes it as the dead rank's proxy on retry.
-    obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (use_ft && skip_to_push) {
-      // The allreduce's result is part of the snapshot: kPush captured the
-      // post-collective accumulator; kEpol no longer needs it at all.
-      if (!skip_to_epol) {
-        const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-        std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                  acc.flat().begin());
-      }
-    } else if (use_ft) {
-      std::map<int, BornAccumulator> proxy_accs;  // dead rank -> its partial
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxy_accs.size());
-        for (auto& [d, pacc] : proxy_accs) pubs.push_back({d, pacc.flat().data()});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(acc.flat(), pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        for (const int d : st.missing) {
-          const Segment d_seg = q_segment(d);
-          BornAccumulator chain = born_solver.make_accumulator();
-          if (my > 0) chain_recv(chain.flat(), live[static_cast<std::size_t>(my - 1)], kTagBornChain + d);
-          const Segment sub = sub_segment(d_seg, parts, my);
-          if (sub.count() > 0) {
-            mpisim::Comm::ComputeRegion region(comm);
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists = born_solver.build_lists(sub.lo, sub.hi);
-              born_solver.accumulate_lists(lists, chain);
-            } else {
-              born_solver.accumulate_qleaf_range(sub.lo, sub.hi, chain);
-            }
-          }
-          comm.add_redistributed_work(sub.count());
-          if (my + 1 < parts) {
-            comm.send<double>(chain.flat(), live[static_cast<std::size_t>(my + 1)], kTagBornChain + d);
-          } else {
-            proxy_accs[d] = std::move(chain);  // this rank proxies d on retry
-          }
-        }
-      }
-    } else {
-      comm.allreduce_sum(acc.flat());
-    }
-
-    // Phase boundary: entering kPush with the post-allreduce accumulator.
-    if (use_ckpt && !skip_to_epol && policy.enabled() && boundary_due())
-      save_snapshot(ckpt::Phase::kPush, 0,
-                    {std::vector<double>(acc.flat().begin(), acc.flat().end())});
-
-    // ---- Step 4: Born radii for this rank's atom segment.
-    obs::phase_begin(obs::PhaseId::kPush);
-    const Segment a_seg = even_segment(n_atoms, P, r);
-    std::vector<double> born(prep.num_atoms(), 0.0);
-    if (skip_to_epol) {
-      // Born radii come out of the kEpol snapshot below; the push and the
-      // gather both happened before the cut.
-    } else if (p == 1) {
-      traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kPush, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        born_solver.push_to_atoms(acc, a_seg.lo, a_seg.hi, born);
-      });
-    } else {
-      sched->reset_stats();
-      ws::parallel_for(*sched, a_seg.lo, a_seg.hi,
-                       std::max<std::size_t>(1, a_seg.count() / (16u * static_cast<unsigned>(p))),
-                       [&](std::size_t lo, std::size_t hi) {
-                         born_solver.push_to_atoms(acc, static_cast<std::uint32_t>(lo),
-                                                   static_cast<std::uint32_t>(hi), born);
-                       });
-      comm.add_compute_seconds(sched->stats().max_busy());
-    }
-
-    // ---- Step 5: gather all Born-radius segments.
-    obs::phase_begin(obs::PhaseId::kBornGather);
-    std::vector<int> counts(static_cast<std::size_t>(P)), displs(static_cast<std::size_t>(P));
-    for (int i = 0; i < P; ++i) {
-      const Segment s = even_segment(n_atoms, P, i);
-      counts[static_cast<std::size_t>(i)] = static_cast<int>(s.count());
-      displs[static_cast<std::size_t>(i)] = static_cast<int>(s.lo);
-    }
-    // Recovery here is simpler than step 3: push_to_atoms is independent per
-    // atom, so survivors each recompute a sub-range of the dead rank's atom
-    // segment directly (no chaining needed for bit-equality) and ship it to
-    // the proxy, which assembles the full slice and republishes it.
-    if (skip_to_epol) {
-      const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
-    } else if (use_ft) {
-      std::map<int, std::vector<double>> proxy_born;  // dead rank -> slice
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxy_born.size());
-        for (auto& [d, slice] : proxy_born) pubs.push_back({d, slice.data()});
-        const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
-            {born.data() + a_seg.lo, a_seg.count()}, born, counts, displs, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        for (const int d : st.missing) {
-          const Segment d_aseg = even_segment(n_atoms, P, d);
-          const Segment sub = sub_segment(d_aseg, parts, my);
-          if (sub.count() > 0) {
-            // Writes land in this rank's own `born` buffer; the successful
-            // retry overwrites them with the proxy's identical values.
-            mpisim::Comm::ComputeRegion region(comm);
-            born_solver.push_to_atoms(acc, sub.lo, sub.hi, born);
-          }
-          comm.add_redistributed_work(sub.count());
-          const int proxy = live.back();
-          if (r == proxy) {
-            std::vector<double>& slice = proxy_born[d];
-            slice.assign(d_aseg.count(), 0.0);
-            std::copy(born.begin() + sub.lo, born.begin() + sub.hi,
-                      slice.begin() + (sub.lo - d_aseg.lo));
-            for (int j = 0; j + 1 < parts; ++j) {
-              const Segment sj = sub_segment(d_aseg, parts, j);
-              if (sj.count() == 0) continue;
-              chain_recv({slice.data() + (sj.lo - d_aseg.lo), sj.count()},
-                         live[static_cast<std::size_t>(j)], kTagBornSlice + d);
-            }
-          } else if (sub.count() > 0) {
-            comm.send<double>({born.data() + sub.lo, sub.count()}, proxy,
-                              kTagBornSlice + d);
-          }
-        }
-      }
-    } else {
-      comm.allgatherv<double>({born.data() + a_seg.lo, a_seg.count()}, born, counts, displs);
-    }
-
-    // ---- Step 6: partial energy for this rank's leaf (or atom) segment.
-    obs::phase_begin(obs::PhaseId::kEpol);
-    double partial[1] = {0.0};
-    {
-      // Bin construction is replicated per rank; count it as compute.
-      std::unique_ptr<EpolSolver> epol_solver;
-      {
-        mpisim::Comm::ComputeRegion region(comm);
-        epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
-      }
-      if (use_ckpt) {
-        // Chunked energy with kill polls and periodic snapshots, mirroring
-        // the Born loop. Raw far/near sums continue across chunks and are
-        // scaled ONCE at the end — the same one-finish convention as the
-        // fault-free single pass and the recovery relays, keeping the
-        // chunked fold bit-identical.
-        const Segment l_seg = l_segment(r);
-        double raws[2] = {0.0, 0.0};
-        std::uint32_t done = 0;
-        if (skip_to_epol) {
-          const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-          raws[0] = snap.sections[1][0];
-          raws[1] = snap.sections[1][1];
-          done = static_cast<std::uint32_t>(snap.cursor);
-        }
-        // Phase boundary: entering kEpol with the gathered Born radii.
-        if (policy.enabled() && boundary_due())
-          save_snapshot(ckpt::Phase::kEpol, done,
-                        {born, std::vector<double>{raws[0], raws[1]}});
-        std::uint32_t since_save = 0;
-        while (done < l_seg.count()) {
-          const std::uint32_t lo = l_seg.lo + done;
-          const std::uint32_t hi = std::min(lo + chunk, l_seg.hi);
-          traced_chunk(lo, hi, obs::PhaseId::kEpol, [&] {
-            mpisim::Comm::ComputeRegion region(comm);
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists = epol_solver->build_lists(lo, hi);
-              epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(),
-                                                       raws[0]);
-              epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(),
-                                                        raws[1]);
-            } else {
-              epol_solver->accumulate_energy_leaf_range(lo, hi, raws[0]);
-            }
-          });
-          done = hi - l_seg.lo;
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_snapshot(ckpt::Phase::kEpol, done,
-                          {born, std::vector<double>{raws[0], raws[1]}});
-          }
-          if (comm.poll_kill()) comm.abandon();
-        }
-        partial[0] = params.traversal == TraversalMode::kList
-                         ? epol_solver->finish_energy(raws[0]) +
-                               epol_solver->finish_energy(raws[1])
-                         : epol_solver->finish_energy(raws[0]);
-      } else if (config.division == WorkDivision::kDynamic) {
-        mpisim::Comm::ComputeRegion region(comm);
-        for (;;) {
-          const std::uint32_t lo = epol_cursor.fetch_add(epol_chunk);
-          comm.charge_rpc(0, 2 * sizeof(std::uint32_t));
-          if (lo >= n_aleaves) break;
-          const std::uint32_t hi = std::min(lo + epol_chunk, n_aleaves);
-          traced_chunk(lo, hi, obs::PhaseId::kEpol, [&] {
-            partial[0] += epol_solver->energy_for_leaf_range(lo, hi);
-          });
-        }
-      } else if (config.division == WorkDivision::kAtomBased) {
-        traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kEpol, [&] {
-          mpisim::Comm::ComputeRegion region(comm);
-          partial[0] = epol_solver->energy_for_atom_range(a_seg.lo, a_seg.hi);
-        });
-      } else {
-        const Segment l_seg = config.division == WorkDivision::kNodeBalanced
-                                  ? balanced_a[static_cast<std::size_t>(r)]
-                                  : even_segment(n_aleaves, P, r);
-        if (p == 1) {
-          traced_chunk(l_seg.lo, l_seg.hi, obs::PhaseId::kEpol, [&] {
-            mpisim::Comm::ComputeRegion region(comm);
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists = epol_solver->build_lists(l_seg.lo, l_seg.hi);
-              partial[0] = epol_solver->energy_from_lists(lists);
-            } else {
-              partial[0] = epol_solver->energy_for_leaf_range(l_seg.lo, l_seg.hi);
-            }
-          });
-        } else if (params.traversal == TraversalMode::kList) {
-          sched->reset_stats();
-          const InteractionLists lists =
-              epol_solver->build_lists_parallel(*sched, l_seg.lo, l_seg.hi);
-          const double far = ws::parallel_reduce<double>(
-              *sched, 0, lists.far.size(), list_grain(lists.far.size(), p),
-              [&](std::size_t lo, std::size_t hi) {
-                return epol_solver->energy_far_range(lists, lo, hi);
-              },
-              [](double l, double rgt) { return l + rgt; });
-          const double near = ws::parallel_reduce<double>(
-              *sched, 0, lists.near.size(), list_grain(lists.near.size(), p),
-              [&](std::size_t lo, std::size_t hi) {
-                return epol_solver->energy_near_range(lists, lo, hi);
-              },
-              [](double l, double rgt) { return l + rgt; });
-          partial[0] = far + near;
-          comm.add_compute_seconds(sched->stats().max_busy());
-        } else {
-          sched->reset_stats();
-          partial[0] = ws::parallel_reduce<double>(
-              *sched, l_seg.lo, l_seg.hi, 1,
-              [&](std::size_t lo, std::size_t hi) {
-                return epol_solver->energy_for_leaf_range(
-                    static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi));
-              },
-              [](double l, double rgt) { return l + rgt; });
-          comm.add_compute_seconds(sched->stats().max_busy());
-        }
-      }
-      if (!use_ft && r == 0)
-        per_rank_extra_bytes = acc.flat().size_bytes() + born.size() * sizeof(double);
-
-      // ---- Step 7: master accumulates the final energy.
-      //
-      // Fault-tolerant path: a dead rank's partial energy is recomputed by
-      // the same relay-chain pattern as step 3, but over raw (unscaled)
-      // running sums — EpolSolver::accumulate_energy_* continue the fold
-      // across ranks and finish_energy applies the -tau/2 ke scale once at
-      // the chain's end, exactly as the dead rank would have. If the root
-      // itself died, the reduction re-targets the lowest surviving rank,
-      // which then harvests the results.
-      if (use_ft) {
-        obs::phase_begin(obs::PhaseId::kEpolReduce);
-        std::map<int, double> proxy_partial;  // dead rank -> partial energy
-        int live_root = 0;
-        for (;;) {
-          std::vector<mpisim::ProxyPub> pubs;
-          pubs.reserve(proxy_partial.size());
-          for (auto& [d, val] : proxy_partial) pubs.push_back({d, &val});
-          const mpisim::CollectiveStatus st = comm.reduce_sum_ft(partial, live_root, pubs);
-          if (st.ok()) break;
-          if (comm.kill_requested()) comm.abandon();
-          const std::vector<int> live = live_ranks(P, st.dead);
-          live_root = live.front();
-          const int parts = static_cast<int>(live.size());
-          const int my = index_of(live, r);
-          for (const int d : st.missing) {
-            const Segment d_lseg = l_segment(d);
-            const Segment sub = sub_segment(d_lseg, parts, my);
-            double raws[2] = {0.0, 0.0};
-            if (my > 0)
-              chain_recv({raws, 2}, live[static_cast<std::size_t>(my - 1)], kTagEpolChain + d);
-            if (sub.count() > 0) {
-              mpisim::Comm::ComputeRegion region(comm);
-              if (params.traversal == TraversalMode::kList) {
-                const InteractionLists lists = epol_solver->build_lists(sub.lo, sub.hi);
-                epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(), raws[0]);
-                epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(), raws[1]);
-              } else {
-                epol_solver->accumulate_energy_leaf_range(sub.lo, sub.hi, raws[0]);
-              }
-            }
-            comm.add_redistributed_work(sub.count());
-            if (my + 1 < parts) {
-              comm.send<double>({raws, 2}, live[static_cast<std::size_t>(my + 1)], kTagEpolChain + d);
-            } else {
-              proxy_partial[d] =
-                  params.traversal == TraversalMode::kList
-                      ? epol_solver->finish_energy(raws[0]) + epol_solver->finish_energy(raws[1])
-                      : epol_solver->finish_energy(raws[0]);
-            }
-          }
-        }
-        if (r == live_root) {
-          energy_shared = partial[0];
-          std::copy(born.begin(), born.end(), born_shared.begin());
-          per_rank_extra_bytes = acc.flat().size_bytes() + born.size() * sizeof(double);
-        }
-        obs::phase_end();
-        return;
-      }
-    }
-
-    // ---- Step 7: master accumulates the final energy.
-    obs::phase_begin(obs::PhaseId::kEpolReduce);
-    comm.reduce_sum(partial, 0);
-    if (r == 0) {
-      energy_shared = partial[0];
-      std::copy(born.begin(), born.end(), born_shared.begin());
-    }
-    obs::phase_end();
-  });
-
-  result.energy = energy_shared;
-  result.born_sorted = std::move(born_shared);
-  result.compute_seconds = report.max_compute_seconds();
-  result.comm_seconds = report.max_comm_seconds();
-  result.wall_seconds = report.wall_seconds;
-  result.retries = report.retries;
-  result.redistributed_work_items = report.redistributed_work_items;
-  result.corruption_injected = report.corruption_injected;
-  result.corruption_detected = report.corruption_detected;
-  result.corruption_recomputed = report.corruption_recomputed;
-  result.corruption_retransmits = report.corruption_retransmits;
-  result.degraded = report.degraded;
-  result.killed = report.killed;
-  result.resumed = resume;
-  result.stalls_converted = report.stalls_converted;
-  result.error_class = report.error_class;
-  // Replicated-data accounting: every rank holds a full copy of the trees,
-  // payloads, accumulator and Born array (paper §V-B memory comparison).
-  result.replicated_bytes = static_cast<std::size_t>(P) *
-                            (prep.replicated_footprint().bytes + per_rank_extra_bytes);
-  result.migrated_chunks = report.migrated_chunks;
-  result.rank_results = report.ranks;
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Canonical chunk-fold path with cross-rank balancing (core/balance.hpp,
-// DESIGN.md "Load balancing").
+// Canonical chunk-fold driver: OCT_CILK (P = 1), OCT_MPI (p = 1) and
+// OCT_MPI+CILK, under every balance policy (core/balance.hpp, DESIGN.md
+// "Load balancing").
 //
-// Work is cut into fixed, policy-independent chunks; each chunk's partial is
-// computed fresh-from-zero by whichever rank the plan (or death recovery, or
-// a checkpoint restore) hands it to, and every rank folds the partials in
-// ascending chunk order. The fold's result depends only on the chunk
-// boundaries — never on the assignment — so kStatic, kCostModel and kSteal
-// agree to the last bit, and so do recovered and resumed runs.
+// Work is cut into fixed, policy-independent chunks sized from the total
+// worker count P·p; each chunk's partial is computed fresh-from-zero by
+// whichever rank the plan (or death recovery, or a checkpoint restore) hands
+// it to, and every rank folds the partials in ascending chunk order. The
+// fold's result depends only on the chunk boundaries — never on the
+// assignment or the rank/worker split — so every policy and every P x p
+// shape with the same P·p agree to the last bit, and so do recovered and
+// resumed runs. Inside a rank the planned chunks run in waves of at most p
+// (RankWorkers); kill polls, snapshot commits, integrity seals and steal
+// replays happen between waves on the rank thread.
 //
-// The phase structure mirrors oct_distributed's, with two differences: the
-// Born push is replicated (every rank pushes all atoms from the identical
+// The Born push is replicated (every rank pushes all atoms from the identical
 // folded accumulator, so no gather is needed), and each phase synchronizes
 // on a 1-double token allreduce whose abort is the death-recovery point —
 // deaths fire only at collective entries, so a rank that dies there has
@@ -954,69 +359,32 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                        const GBConstants& constants, const RunOptions& options) {
   RunResult result;
   result.ranks = std::max(1, options.ranks);
-  result.threads_per_rank = 1;
+  result.threads_per_rank = std::max(1, options.threads_per_rank);
   const int P = result.ranks;
+  const int p = result.threads_per_rank;
 
   const BornSolver born_solver(prep, params);
   const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
   const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
   const std::uint32_t n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
   const std::size_t acc_len = born_solver.make_accumulator().flat().size();
+  // kAtomBased cuts the E_pol phase into atom-index chunks instead of leaf
+  // chunks: boundary leaves are truncated, so the energy drifts with the
+  // chunk count (the paper's §IV-A ablation). It walks the tree recursively
+  // whatever the traversal.
+  const bool atom_epol = options.division == WorkDivision::kAtomBased;
+  const bool pair_finish = params.traversal == TraversalMode::kList && !atom_epol;
 
-  // Chunk geometry + per-chunk cost estimates: identical on every rank, and
-  // independent of the policy (the fold's determinism rests on that).
-  //
-  // Chunks are priced from a host-side list build: a source leaf costs its
-  // near-field point pairs (target points x source points per near entry)
-  // plus one aggregated evaluation per source point for each far entry.
-  // Occupancy x total — the coarser interaction_costs overload — under-
-  // prices dense regions, because near-field work grows with the
-  // neighbourhood's density, not just the leaf's own count. The list walk
-  // is pure geometry (no Born values), so the Epol lists can be built
-  // before phase 1 runs. kStatic even-splits regardless of the costs, so
-  // the build is skipped there and the baseline stays list-free.
-  const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
-  const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
-  const auto chunk_costs = [](const Octree& target, const Octree& source,
-                              const ChunkPlan& plan, const InteractionLists& lists) {
-    const auto leaves = source.leaves();
-    std::vector<std::uint32_t> leaf_of(source.nodes().size(), 0);
-    for (std::uint32_t i = 0; i < leaves.size(); ++i) leaf_of[leaves[i]] = i;
-    std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
-    for (const InteractionLists::Near& nr : lists.near)
-      per_leaf[leaf_of[nr.source_leaf]] +=
-          static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
-          source.node(nr.source_leaf).count();
-    for (const InteractionLists::Far& fr : lists.far)
-      per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
-    const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
-    std::vector<double> costs(plan.n_chunks, 0.0);
-    for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
-      const Segment seg = plan.chunk_range(c);
-      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
-    }
-    return costs;
-  };
-  std::vector<double> born_costs(born_plan.n_chunks, 0.0);
-  std::vector<double> epol_costs(epol_plan.n_chunks, 0.0);
-  if (options.balance != BalancePolicy::kStatic) {
-    born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, born_plan,
-                             born_solver.build_lists(0, n_qleaves));
-    epol_costs = chunk_costs(
-        prep.atoms_tree, prep.atoms_tree, epol_plan,
-        build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
-                                {.far_multiplier = params.epol_far_multiplier(),
-                                 .exact_at_target_leaf = true,
-                                 .source_leaf_lo = 0,
-                                 .source_leaf_hi = n_aleaves}));
-  }
-  const BalanceAssignment plan_born = plan_balance(born_costs, P, options.balance);
-  const BalanceAssignment plan_epol = plan_balance(epol_costs, P, options.balance);
+  const PhasePlans plans = plan_phases(prep, params, born_solver, options, P, P * p);
+  const ChunkPlan& born_plan = plans.born.chunks;
+  const ChunkPlan& epol_plan = plans.epol.chunks;
+  const BalanceAssignment& plan_born = plans.born.assign;
+  const BalanceAssignment& plan_epol = plans.epol.assign;
+  const auto& born_steals = plans.born.steals;
+  const auto& epol_steals = plans.epol.steals;
+  const std::vector<int>& born_executor = plans.born.executor;
+  const std::vector<int>& epol_executor = plans.epol.executor;
   result.steal_grants = plan_born.steals.size() + plan_epol.steals.size();
-  const auto born_steals = steals_by_thief(plan_born, P);
-  const auto epol_steals = steals_by_thief(plan_epol, P);
-  const std::vector<int> born_executor = executor_of(plan_born, born_plan.n_chunks);
-  const std::vector<int> epol_executor = executor_of(plan_epol, epol_plan.n_chunks);
 
   // Shared cross-rank state: each chunk slot is written by exactly one rank
   // (ledger discipline), then read by all after the phase sync's barrier.
@@ -1024,12 +392,15 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   // arena, so its pages are committed (first touch) by the worker thread of
   // the rank that computes the chunk — NUMA-local on multi-socket hosts.
   std::vector<ArenaVector<double>> born_partials(born_plan.n_chunks);
+  std::vector<std::vector<std::uint32_t>> born_touched(born_plan.n_chunks);
   std::vector<std::array<double, 2>> epol_raws(epol_plan.n_chunks,
                                                std::array<double, 2>{0.0, 0.0});
   ChunkLedger born_ledger(born_plan.n_chunks);
   ChunkLedger epol_ledger(epol_plan.n_chunks);
   std::vector<double> born_shared(prep.num_atoms(), 0.0);
   double energy_shared = 0.0;
+  std::atomic<std::uint64_t> ws_steals{0};
+  std::atomic<std::uint64_t> ws_tasks{0};
 
   // Integrity epoch guards over the shared hot arrays: the executor seals a
   // CRC of each chunk's pristine partial right after computing it (ledger
@@ -1052,8 +423,8 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
        static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
        born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
-       epol_plan.chunk_items, integrity_job_word(options.integrity_guards),
-       policy.job_salt});
+       epol_plan.chunk_items, static_cast<std::uint64_t>(options.division),
+       integrity_job_word(options.integrity_guards), policy.job_salt});
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
 
@@ -1110,6 +481,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
             for (std::size_t i = 0; i < led.ids.size(); ++i) {
               born_partials[led.ids[i]].assign(led.partials[i].begin(),
                                                led.partials[i].end());
+              born_touched[led.ids[i]] = touched_blocks(led.partials[i]);
               born_ledger.mark_done(led.ids[i], rr);
             }
             restored_born_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
@@ -1141,7 +513,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
 
   mpisim::Runtime::Config rt;
   rt.ranks = P;
-  rt.threads_per_rank = 1;
+  rt.threads_per_rank = p;
   rt.cluster = options.cluster;
   rt.faults = options.faults;
   rt.kill = options.kill;
@@ -1169,6 +541,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
           corr.hot_array_bit(r, mpisim::CorruptionPlan::kBornPartials, c, &bit)) {
         born_fired[c] = 1;
         support::flip_bit(born_partials[c].data(), bytes, bit);
+        born_touched[c] = touched_blocks(born_partials[c]);  // the flip is folded
         comm.note_corruption_injected();
         obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
       }
@@ -1244,89 +617,90 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       }
     };
 
-    // One Born chunk, fresh-from-zero into its shared slot. `recompute`
-    // marks an integrity recompute: no migration accounting, and the seal
-    // records the clean CRC (the fired flag stops a second injection).
-    const auto compute_born_chunk = [&](std::uint32_t c, bool recompute = false) {
-      const Segment seg = born_plan.chunk_range(c);
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kBornAccum, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        BornAccumulator scratch = born_solver.make_accumulator();
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-          born_solver.accumulate_lists(lists, scratch);
-        } else {
-          born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
-        }
-        born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
-      });
-      seal_born(c);
-      if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
-      born_ledger.mark_done(c, r);
+    RankWorkers workers(p);
+
+    // Runs `ids` in waves of at most p chunks; published(c) follows on the
+    // rank thread for each chunk, in list order, after its wave.
+    const auto in_waves = [&](const std::vector<std::uint32_t>& ids, const ChunkPlan& plan,
+                              obs::PhaseId phase, const auto& body,
+                              const auto& published) {
+      for (std::size_t i = 0; i < ids.size(); i += workers.width()) {
+        const std::span<const std::uint32_t> wave(
+            ids.data() + i, std::min(workers.width(), ids.size() - i));
+        workers.run_wave(comm, wave, plan, phase, body);
+        for (const std::uint32_t c : wave) published(c);
+      }
     };
 
-    // Re-checksum this rank's chunks against their seals; any mismatch is a
+    // This rank's planned order for one phase, in waves: planned steals fire
+    // before their slots, restored chunks are skipped, due snapshots commit
+    // after each chunk is published, and the kill poll follows every wave —
+    // every slot at p = 1, as the fault and kill plans expect.
+    const auto run_order = [&](const std::vector<std::uint32_t>& order,
+                               const std::vector<StealEvent>& steals,
+                               const ChunkLedger& ledger, const ChunkPlan& plan,
+                               obs::PhaseId phase, const auto& body, const auto& publish,
+                               std::vector<std::uint32_t>& ids, const auto& save) {
+      std::uint32_t since_save = 0;
+      std::size_t next_steal = 0;
+      std::vector<std::uint32_t> wave;
+      for (std::size_t i = 0; i < order.size(); i += workers.width()) {
+        wave.clear();
+        for (std::size_t s = i; s < std::min(order.size(), i + workers.width()); ++s) {
+          fire_steals(steals, next_steal, s, order.size());
+          if (!ledger.done(order[s])) wave.push_back(order[s]);
+        }
+        workers.run_wave(comm, wave, plan, phase, body);
+        for (const std::uint32_t c : wave) {
+          publish(c, /*recompute=*/false);
+          ids.push_back(c);
+          if (policy.enabled() && policy.every_k_chunks > 0 &&
+              ++since_save >= policy.every_k_chunks) {
+            since_save = 0;
+            save();
+          }
+        }
+        if (comm.poll_kill()) comm.abandon();
+      }
+      fire_steals(steals, next_steal, order.size(), order.size());
+    };
+
+    // Re-checksums this rank's chunks against their seals; any mismatch is a
     // detected hot-array corruption, recovered by recomputing the chunk
     // fresh-from-zero (exact, by the canonical-fold construction).
-    const auto verify_born = [&](const std::vector<std::uint32_t>& ids) {
+    const auto verify = [&](const std::vector<std::uint32_t>& ids, const ChunkPlan& plan,
+                            obs::PhaseId phase, const auto& body, const auto& publish,
+                            const auto& slot_crc, const std::vector<std::uint32_t>& crcs) {
       if (corr.empty() || !comm.integrity_guards()) return;
       for (const std::uint32_t c : ids) {
-        const std::size_t bytes = born_partials[c].size() * sizeof(double);
-        if (support::crc32(born_partials[c].data(), bytes) == born_crcs[c])
-          continue;
+        const auto [crc, bytes] = slot_crc(c);
+        if (crc == crcs[c]) continue;
         comm.note_corruption_detected();
         obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        compute_born_chunk(c, /*recompute=*/true);
+        workers.run_wave(comm, {&c, 1}, plan, phase, body);
+        publish(c, /*recompute=*/true);
         comm.note_corruption_recomputed();
         obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
       }
     };
 
-    // ---- Born accumulation over this rank's planned chunk order.
-    obs::phase_begin(obs::PhaseId::kBornAccum);
-    std::vector<std::uint32_t> my_born_ids = restored_born_ids[static_cast<std::size_t>(r)];
-    if (!skip_to_push) {
-      const std::vector<std::uint32_t>& order = plan_born.order[static_cast<std::size_t>(r)];
-      if (policy.enabled())
-        save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!born_ledger.done(c)) {  // restored chunks are skipped
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
-
-    // ---- Born sync: 1-double token allreduce. An abort is the recovery
-    // point: survivors stripe the dead executors' chunks and recompute the
-    // unpublished ones. A dead rank's CURRENT-phase chunks are usually all
-    // published (deaths fire at collective entry), but its next-phase order
-    // is orphaned wholesale, and a cascade can orphan recovery stripes too;
-    // recomputing fresh-from-zero is always exact.
-    obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (!skip_to_push) {
+    // Phase sync: a 1-double token allreduce. An abort is the recovery
+    // point: survivors stripe the dead executors' chunks (a plan-derived
+    // list, identical on every survivor) and recompute the unpublished ones.
+    // A dead rank's CURRENT-phase chunks are usually all published (deaths
+    // fire at collective entry), but its next-phase order is orphaned
+    // wholesale, and a cascade can orphan recovery stripes too; recomputing
+    // fresh-from-zero is always exact. Every chunk this rank published must
+    // verify before the collective succeeds and any rank starts folding.
+    const auto sync = [&](const ChunkPlan& plan, const std::vector<int>& executor,
+                          const ChunkLedger& ledger, obs::PhaseId phase,
+                          const auto& body, const auto& publish, const auto& check,
+                          std::vector<std::uint32_t>& ids, const auto& save) {
       double token[1] = {0.0};
       const double proxy_zero = 0.0;
       std::vector<int> proxied;  // dead ranks this rank republishes for
       for (;;) {
-        // Integrity gate: every chunk this rank published (including
-        // death-recovery recomputes from a prior iteration, which can fire
-        // fresh injections) must verify before the collective succeeds and
-        // any rank starts folding.
-        verify_born(my_born_ids);
+        check(ids);
         std::vector<mpisim::ProxyPub> pubs;
         pubs.reserve(proxied.size());
         for (const int d : proxied) pubs.push_back({d, &proxy_zero});
@@ -1335,52 +709,107 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
         if (comm.kill_requested()) comm.abandon();
         const std::vector<int> live = live_ranks(P, st.dead);
         writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        // Stripe the dead executors' chunks (a plan-derived list, identical
-        // on every survivor); chunks the dead rank had already published
-        // before dying at the collective entry are skipped via the ledger.
+        const auto parts = static_cast<std::size_t>(live.size());
         std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), born_executor[c]))
+        for (std::uint32_t c = 0; c < plan.n_chunks; ++c)
+          if (std::binary_search(st.dead.begin(), st.dead.end(), executor[c]))
             orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (born_ledger.done(c)) continue;
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          comm.add_redistributed_work(born_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
+        std::vector<std::uint32_t> mine;
+        for (std::size_t i = static_cast<std::size_t>(index_of(live, r)); i < orphans.size();
+             i += parts)
+          if (!ledger.done(orphans[i])) mine.push_back(orphans[i]);
+        in_waves(mine, plan, phase, body, [&](std::uint32_t c) {
+          publish(c, /*recompute=*/false);
+          ids.push_back(c);
+          comm.add_redistributed_work(plan.chunk_range(c).count());
+        });
+        if (policy.enabled() && !mine.empty()) save();
         // The lowest survivor republishes a zero token for every dead rank.
         proxied = r == live.front() ? st.dead : std::vector<int>{};
       }
+    };
+
+    // ---- Born accumulation over this rank's planned chunk order. A chunk's
+    // partial goes fresh-from-zero into its own slot (each slot owns a
+    // private arena, so concurrent workers never share one); publishing
+    // seals it, counts a migration and marks it done, on the rank thread.
+    // `recompute` marks an integrity recompute: no migration accounting, and
+    // the seal records the clean CRC (the fired flag stops a second
+    // injection).
+    const auto born_partial = [&](std::uint32_t c) {
+      const Segment seg = born_plan.chunk_range(c);
+      BornAccumulator scratch = born_solver.make_accumulator();
+      if (params.traversal == TraversalMode::kList) {
+        const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
+        born_solver.accumulate_lists(lists, scratch);
+      } else {
+        born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
+      }
+      born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
+      born_touched[c] = touched_blocks(scratch.flat());
+    };
+    const auto publish_born = [&](std::uint32_t c, bool recompute) {
+      seal_born(c);
+      if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
+      born_ledger.mark_done(c, r);
+    };
+    const auto check_born = [&](const std::vector<std::uint32_t>& ids) {
+      verify(ids, born_plan, obs::PhaseId::kBornAccum, born_partial, publish_born,
+             [&](std::uint32_t c) {
+               const std::size_t bytes = born_partials[c].size() * sizeof(double);
+               return std::pair{support::crc32(born_partials[c].data(), bytes), bytes};
+             },
+             born_crcs);
+    };
+    std::vector<std::uint32_t> my_born_ids = restored_born_ids[static_cast<std::size_t>(r)];
+    const auto save_born = [&] {
+      save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
+    };
+
+    obs::phase_begin(obs::PhaseId::kBornAccum);
+    if (!skip_to_push) {
+      if (policy.enabled()) save_born();
+      run_order(plan_born.order[static_cast<std::size_t>(r)],
+                born_steals[static_cast<std::size_t>(r)], born_ledger, born_plan,
+                obs::PhaseId::kBornAccum, born_partial, publish_born, my_born_ids,
+                save_born);
     }
+    obs::phase_begin(obs::PhaseId::kBornReduce);
+    if (!skip_to_push)
+      sync(born_plan, born_executor, born_ledger, obs::PhaseId::kBornAccum, born_partial,
+           publish_born, check_born, my_born_ids, save_born);
 
     // ---- Canonical fold + replicated push. Every rank folds the identical
     // partials in ascending chunk order, so every rank holds the identical
     // accumulator and Born radii — no gather collective is needed; the data
     // motion (each rank reading every chunk partial) is charged as one
-    // modeled allgatherv.
+    // modeled allgatherv of the touched blocks. Each element's fold is
+    // independent of the others, so the rank's workers split the blocks
+    // without changing a bit.
+    obs::phase_begin(obs::PhaseId::kBornGather);
     BornAccumulator acc = born_solver.make_accumulator();
     if (skip_to_push && !skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
       std::copy(snap.sections[0].begin(), snap.sections[0].end(),
                 acc.flat().begin());
     } else if (!skip_to_epol) {
+      std::size_t blocks = 0;
+      for (const std::vector<std::uint32_t>& t : born_touched) blocks += t.size();
       comm.charge_collective(obs::CollKind::kAllgatherv,
-                             static_cast<std::size_t>(born_plan.n_chunks) *
-                                 acc_len * sizeof(double));
-      mpisim::Comm::ComputeRegion region(comm);
+                             blocks * kFoldBlock * sizeof(double));
       const std::span<double> flat = acc.flat();
-      for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-        const ArenaVector<double>& partial = born_partials[c];
-        for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
-      }
+      const auto n_blocks = static_cast<std::uint32_t>((acc_len + kFoldBlock - 1) / kFoldBlock);
+      workers.run_range(comm, n_blocks, [&](std::uint32_t blo, std::uint32_t bhi) {
+        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
+          const ArenaVector<double>& partial = born_partials[c];
+          const std::vector<std::uint32_t>& t = born_touched[c];
+          for (auto b = std::lower_bound(t.begin(), t.end(), blo); b != t.end() && *b < bhi;
+               ++b) {
+            const std::size_t hi = std::min(acc_len, (*b + 1) * kFoldBlock);
+            for (std::size_t j = *b * kFoldBlock; j < hi; ++j) flat[j] += partial[j];
+          }
+        }
+      });
     }
     if (!skip_to_epol && policy.enabled() && boundary_due())
       save_ledger_snapshot(
@@ -1394,8 +823,9 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
     } else {
       traced_chunk(0, n_atoms, obs::PhaseId::kPush, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        born_solver.push_to_atoms(acc, 0, n_atoms, born);
+        workers.run_range(comm, n_atoms, [&](std::uint32_t lo, std::uint32_t hi) {
+          born_solver.push_to_atoms(acc, lo, hi, born);
+        });
       });
     }
 
@@ -1407,109 +837,45 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       mpisim::Comm::ComputeRegion region(comm);
       epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
     }
-    const auto compute_epol_chunk = [&](std::uint32_t c, bool recompute = false) {
+    const auto epol_partial = [&](std::uint32_t c) {
       const Segment seg = epol_plan.chunk_range(c);
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        double raws[2] = {0.0, 0.0};
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-          epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(),
-                                                   raws[0]);
-          epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(),
-                                                    raws[1]);
-        } else {
-          epol_solver->accumulate_energy_leaf_range(seg.lo, seg.hi, raws[0]);
-        }
-        epol_raws[c] = {raws[0], raws[1]};
-      });
+      double raws[2] = {0.0, 0.0};
+      if (atom_epol) {
+        epol_solver->accumulate_energy_atom_range(seg.lo, seg.hi, raws[0]);
+      } else if (params.traversal == TraversalMode::kList) {
+        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
+        epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(), raws[0]);
+        epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(), raws[1]);
+      } else {
+        epol_solver->accumulate_energy_leaf_range(seg.lo, seg.hi, raws[0]);
+      }
+      epol_raws[c] = {raws[0], raws[1]};
+    };
+    const auto publish_epol = [&](std::uint32_t c, bool recompute) {
       seal_epol(c);
       if (!recompute && plan_epol.initial_rank[c] != r) comm.add_migrated_chunk();
       epol_ledger.mark_done(c, r);
     };
-
-    const auto verify_epol = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-        if (support::crc32(epol_raws[c].data(), bytes) == epol_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        compute_epol_chunk(c, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
+    const auto check_epol = [&](const std::vector<std::uint32_t>& ids) {
+      verify(ids, epol_plan, obs::PhaseId::kEpol, epol_partial, publish_epol,
+             [&](std::uint32_t c) {
+               const std::size_t bytes = epol_raws[c].size() * sizeof(double);
+               return std::pair{support::crc32(epol_raws[c].data(), bytes), bytes};
+             },
+             epol_crcs);
+    };
+    std::vector<std::uint32_t> my_epol_ids = restored_epol_ids[static_cast<std::size_t>(r)];
+    const auto save_epol = [&] {
+      save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
     };
 
-    std::vector<std::uint32_t> my_epol_ids = restored_epol_ids[static_cast<std::size_t>(r)];
-    {
-      const std::vector<std::uint32_t>& order = plan_epol.order[static_cast<std::size_t>(r)];
-      if (policy.enabled() && boundary_due())
-        save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!epol_ledger.done(c)) {
-          compute_epol_chunk(c);
-          my_epol_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
-
-    // ---- E_pol sync + recovery (same token protocol as the Born sync).
+    if (policy.enabled() && boundary_due()) save_epol();
+    run_order(plan_epol.order[static_cast<std::size_t>(r)],
+              epol_steals[static_cast<std::size_t>(r)], epol_ledger, epol_plan,
+              obs::PhaseId::kEpol, epol_partial, publish_epol, my_epol_ids, save_epol);
     obs::phase_begin(obs::PhaseId::kEpolReduce);
-    {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;
-      for (;;) {
-        // Same integrity gate as the Born sync: all published chunks must
-        // verify before the fold can begin.
-        verify_epol(my_epol_ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        // Same stable-list striping as the Born recovery: dead executors'
-        // chunks per the plan, skipping the already-published ones.
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), epol_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (epol_ledger.done(c)) continue;
-          compute_epol_chunk(c);
-          my_epol_ids.push_back(c);
-          comm.add_redistributed_work(epol_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
-    }
-
+    sync(epol_plan, epol_executor, epol_ledger, obs::PhaseId::kEpol, epol_partial,
+         publish_epol, check_epol, my_epol_ids, save_epol);
     // Fold the raw sums in ascending chunk order (identical on every rank),
     // finish once, and let the lowest survivor publish.
     comm.charge_collective(obs::CollKind::kAllreduce,
@@ -1523,14 +889,15 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
         far_total += epol_raws[c][0];
         near_total += epol_raws[c][1];
       }
-      energy = params.traversal == TraversalMode::kList
-                   ? epol_solver->finish_energy_pair(far_total, near_total)
-                   : epol_solver->finish_energy(far_total);
+      energy = pair_finish ? epol_solver->finish_energy_pair(far_total, near_total)
+                           : epol_solver->finish_energy(far_total);
     }
     if (r == writer) {
       energy_shared = energy;
       std::copy(born.begin(), born.end(), born_shared.begin());
     }
+    ws_steals += workers.steals;
+    ws_tasks += workers.tasks;
     obs::phase_end();
   });
 
@@ -1556,6 +923,8 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       (prep.replicated_footprint().bytes + acc_len * sizeof(double) +
        static_cast<std::size_t>(n_atoms) * sizeof(double));
   result.rank_results = report.ranks;
+  result.steals = ws_steals.load();
+  result.tasks = ws_tasks.load();
   return result;
 }
 
@@ -1597,48 +966,16 @@ RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
 
   // Chunk geometry, costs and balance plans: identical to oct_balanced (the
   // fold canonicalization and snapshot layout rest on the same invariants).
-  const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
-  const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
-  const auto chunk_costs = [](const Octree& target, const Octree& source,
-                              const ChunkPlan& plan, const InteractionLists& lists) {
-    const auto leaves = source.leaves();
-    std::vector<std::uint32_t> leaf_of(source.nodes().size(), 0);
-    for (std::uint32_t i = 0; i < leaves.size(); ++i) leaf_of[leaves[i]] = i;
-    std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
-    for (const InteractionLists::Near& nr : lists.near)
-      per_leaf[leaf_of[nr.source_leaf]] +=
-          static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
-          source.node(nr.source_leaf).count();
-    for (const InteractionLists::Far& fr : lists.far)
-      per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
-    const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
-    std::vector<double> costs(plan.n_chunks, 0.0);
-    for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
-      const Segment seg = plan.chunk_range(c);
-      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
-    }
-    return costs;
-  };
-  std::vector<double> born_costs(born_plan.n_chunks, 0.0);
-  std::vector<double> epol_costs(epol_plan.n_chunks, 0.0);
-  if (options.balance != BalancePolicy::kStatic) {
-    born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, born_plan,
-                             born_solver.build_lists(0, n_qleaves));
-    epol_costs = chunk_costs(
-        prep.atoms_tree, prep.atoms_tree, epol_plan,
-        build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
-                                {.far_multiplier = params.epol_far_multiplier(),
-                                 .exact_at_target_leaf = true,
-                                 .source_leaf_lo = 0,
-                                 .source_leaf_hi = n_aleaves}));
-  }
-  const BalanceAssignment plan_born = plan_balance(born_costs, P, options.balance);
-  const BalanceAssignment plan_epol = plan_balance(epol_costs, P, options.balance);
+  const PhasePlans plans = plan_phases(prep, params, born_solver, options, P, P);
+  const ChunkPlan& born_plan = plans.born.chunks;
+  const ChunkPlan& epol_plan = plans.epol.chunks;
+  const BalanceAssignment& plan_born = plans.born.assign;
+  const BalanceAssignment& plan_epol = plans.epol.assign;
+  const auto& born_steals = plans.born.steals;
+  const auto& epol_steals = plans.epol.steals;
+  const std::vector<int>& born_executor = plans.born.executor;
+  const std::vector<int>& epol_executor = plans.epol.executor;
   result.steal_grants = plan_born.steals.size() + plan_epol.steals.size();
-  const auto born_steals = steals_by_thief(plan_born, P);
-  const auto epol_steals = steals_by_thief(plan_epol, P);
-  const std::vector<int> born_executor = executor_of(plan_born, born_plan.n_chunks);
-  const std::vector<int> epol_executor = executor_of(plan_epol, epol_plan.n_chunks);
 
   // Ownership + halo plans: host-side, plan-derived, identical on every
   // rank. The halo replays the EXECUTOR chunk assignment, so a policy

@@ -1,19 +1,25 @@
 // End-to-end GB polarization-energy drivers — the implementations compared
-// throughout the paper's evaluation:
+// throughout the paper's evaluation, all reached through gbpol::Engine
+// (core/engine.hpp):
 //
 //   OCT_SERIAL    — single-threaded reference of the octree approximation
-//   OCT_CILK      — shared-memory dual-tree algorithm of [6]/[7] over the
-//                   work-stealing scheduler (paper's cilk++ implementation)
-//   OCT_MPI       — Fig. 4 with P ranks, 1 thread each (pure distributed)
-//   OCT_MPI+CILK  — Fig. 4 with P ranks x p worker threads (hybrid)
+//                   (detail::oct_serial; also the trajectory and serving path)
+//   OCT_CILK      — the canonical chunk-fold driver at P = 1 rank with p
+//                   work-stealing workers (the paper's cilk++ implementation)
+//   OCT_MPI       — the same driver with P ranks, 1 worker each (Fig. 4)
+//   OCT_MPI+CILK  — the same driver with P ranks x p workers (hybrid)
+//
+// The three parallel shapes are one function (detail::oct_balanced): chunks
+// sized from P·p, computed fresh-from-zero in waves of at most p per rank,
+// folded in ascending chunk order. Shapes with the same P·p therefore give
+// bit-identical energies and Born radii, and every shape inherits death
+// recovery, checkpoint/resume and the integrity guards. Owned-mode data
+// distribution (detail::oct_owned) shares the chunk plan and fold.
 //
 // Every driver returns the energy, the Born radii, and a timing breakdown:
 // measured CPU seconds for compute, modeled seconds for communication, and
 // the modeled cluster makespan (see mpisim/runtime.hpp for the model).
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "ckpt/snapshot.hpp"
 #include "core/born_octree.hpp"
@@ -23,52 +29,3 @@
 #include "mpisim/cluster.hpp"
 #include "mpisim/faults.hpp"
 #include "support/error_class.hpp"
-
-namespace gbpol {
-
-namespace mpisim {
-class PersistentPool;
-}
-
-struct RunConfig {
-  int ranks = 1;
-  int threads_per_rank = 1;
-  mpisim::ClusterModel cluster = mpisim::ClusterModel::lonestar4();
-  WorkDivision division = WorkDivision::kNodeNode;
-  // Deterministic fault schedule replayed by the runtime (empty = fault-free).
-  // Death recovery (degraded mode) is supported for the node divisions
-  // (kNodeNode / kNodeBalanced) with threads_per_rank == 1 — the bit-
-  // deterministic configurations, where survivors can reproduce a dead
-  // rank's partial results exactly. Other configurations fail fast on death
-  // (the runtime terminates, as a real MPI job would).
-  mpisim::FaultPlan faults;
-  // Deterministic whole-process kill for checkpoint/restart testing
-  // (mpisim/faults.hpp). Only honoured by the bit-deterministic
-  // configurations above — the same ones that can checkpoint.
-  mpisim::KillPlan kill;
-  // Supervisor watchdog: heartbeat-stagnation bound after which a stalled
-  // rank is converted into a death (mpisim/runtime.hpp). <= 0 disables.
-  double stall_timeout_seconds = 0.0;
-  // Silent-corruption injection schedule and the integrity-guard master
-  // switch (mpisim/faults.hpp). Guards OFF is canary-test only.
-  mpisim::CorruptionPlan corruption;
-  bool integrity_guards = true;
-  // Checkpoint policy (ckpt/snapshot.hpp): enabled when checkpoint.dir is
-  // non-empty. Snapshots are keyed to logical schedule points (phase +
-  // leaf-range cursor), so a resumed run reproduces the uninterrupted
-  // answer to the last bit. Ignored outside the bit-deterministic
-  // configurations.
-  ckpt::CheckpointPolicy checkpoint;
-  // Persistent rank-thread pool (mpisim/pool.hpp): non-null routes the
-  // distributed run onto resident worker threads (the serving layer's
-  // amortized rank setup); null spawns per-run threads as before. Results
-  // are bit-identical either way.
-  mpisim::PersistentPool* pool = nullptr;
-};
-
-// The one-per-mode free-function drivers that predated the facade were
-// deprecated in PR 5 and are now REMOVED: gbpol::Engine (core/engine.hpp)
-// and gbpol::Service (serve/service.hpp) are the whole public API.
-// scripts/check.sh gates the old symbol names out of the tree.
-
-}  // namespace gbpol

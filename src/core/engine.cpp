@@ -68,48 +68,19 @@ RunResult Engine::run(const RunOptions& options) const {
       mode = EngineMode::kSerial;
   }
 
-  switch (mode) {
-    case EngineMode::kSerial:
-      return detail::oct_serial(*prep_, params, constants_);
-    case EngineMode::kCilk:
-      return detail::oct_cilk(*prep_, params, constants_,
-                              options.threads_per_rank);
-    case EngineMode::kAuto:
-    case EngineMode::kDistributed:
-      break;
-  }
+  if (mode == EngineMode::kSerial) return detail::oct_serial(*prep_, params, constants_);
 
-  // Owned-mode data distribution rides the canonical chunk-fold machinery
-  // and is only defined for its bit-deterministic configuration; any other
-  // shape falls back to the replicated routing below (documented on
-  // RunOptions::distribution).
-  if (options.distribution == DataDistribution::kOwned &&
-      options.threads_per_rank <= 1 &&
-      options.division == WorkDivision::kNodeNode &&
-      options.traversal == TraversalMode::kList)
-    return detail::oct_owned(*prep_, params, constants_, options);
+  // OCT_CILK is the canonical driver at one rank.
+  RunOptions shape = options;
+  if (mode == EngineMode::kCilk) shape.ranks = 1;
 
-  // Distributed: the canonical chunk-fold path owns every policy except
-  // plain kStatic (which keeps the legacy reduction for baseline parity),
-  // and only supports the bit-deterministic configuration it is defined for.
-  const bool balanced =
-      (options.balance != BalancePolicy::kStatic || options.canonical_reduction) &&
-      options.threads_per_rank <= 1 && options.division == WorkDivision::kNodeNode;
-  if (balanced) return detail::oct_balanced(*prep_, params, constants_, options);
-
-  RunConfig config;
-  config.ranks = options.ranks;
-  config.threads_per_rank = options.threads_per_rank;
-  config.cluster = options.cluster;
-  config.division = options.division;
-  config.faults = options.faults;
-  config.kill = options.kill;
-  config.stall_timeout_seconds = options.stall_timeout_seconds;
-  config.checkpoint = options.checkpoint;
-  config.corruption = options.corruption;
-  config.integrity_guards = options.integrity_guards;
-  config.pool = options.pool;
-  return detail::oct_distributed(*prep_, params, constants_, config);
+  // Owned-mode data distribution is defined for one worker per rank, the
+  // node-node division and list traversal; any other shape runs replicated
+  // (documented on RunOptions::distribution).
+  if (shape.distribution == DataDistribution::kOwned && shape.threads_per_rank <= 1 &&
+      shape.division == WorkDivision::kNodeNode && shape.traversal == TraversalMode::kList)
+    return detail::oct_owned(*prep_, params, constants_, shape);
+  return detail::oct_balanced(*prep_, params, constants_, shape);
 }
 
 // --- RunResult JSON ------------------------------------------------------

@@ -1,11 +1,11 @@
 // Unified driver facade: one Engine, one RunOptions aggregate, one RunResult.
 //
-// The one-per-mode free-function drivers (drivers.hpp) accreted knobs
-// across five layers —
-// traversal mode on ApproxParams, work division + faults + kill + checkpoint
-// on RunConfig, rank/thread counts as positional arguments, and campaign /
-// trace destinations as ambient environment variables. Engine consolidates
-// all of it:
+// Every run knob — topology, traversal, work division, balance policy,
+// faults, kill, checkpoint, integrity, campaign / trace destinations — is a
+// RunOptions field, and Engine::run routes the shape to one of three drivers
+// (drivers.hpp): OCT_SERIAL, the owned-mode driver, or the canonical
+// chunk-fold driver that runs OCT_CILK (one rank, p workers), OCT_MPI and
+// OCT_MPI+CILK alike:
 //
 //   gbpol::Engine engine(prep);            // or (prep, params, constants)
 //   gbpol::RunOptions opt;
@@ -48,10 +48,15 @@
 
 namespace gbpol {
 
+namespace mpisim {
+class PersistentPool;
+}
+
 enum class EngineMode {
   kAuto,         // ranks > 1 -> distributed; threads > 1 -> cilk; else serial
   kSerial,       // OCT_SERIAL
-  kCilk,         // OCT_CILK (threads_per_rank workers)
+  kCilk,         // OCT_CILK: the canonical driver at one rank with
+                 // threads_per_rank workers (RunOptions::ranks is ignored)
   kDistributed,  // OCT_MPI / OCT_MPI+CILK (honours ranks == 1 too)
 };
 
@@ -79,21 +84,18 @@ struct RunOptions {
   // on the params the Engine was constructed with).
   TraversalMode traversal = TraversalMode::kList;
 
-  // Cross-rank balancing (core/balance.hpp). Policies other than kStatic run
-  // the canonical chunk-fold path, which requires threads_per_rank == 1 and
-  // division == kNodeNode; other configurations fall back to the legacy
-  // static path. kStatic + canonical_reduction routes the STATIC split
-  // through the same canonical fold, giving a 0-ulp baseline for policy A/Bs
-  // (plain kStatic keeps the legacy reduction, whose association differs).
+  // Cross-rank balancing (core/balance.hpp). Every policy runs the same
+  // canonical chunk fold, for every ranks x threads_per_rank shape, so all
+  // policies — and all shapes with the same total worker count — agree to
+  // the last bit. The auto chunk size derives from ranks * threads_per_rank.
   BalancePolicy balance = BalancePolicy::kStatic;
-  bool canonical_reduction = false;
   std::uint32_t balance_chunk_leaves = 0;  // leaves per chunk; 0 = auto
 
   // Data residency (core/workdiv.hpp). kOwned routes distributed runs
   // through the owned-mode driver: ranks own Morton-contiguous leaf ranges
-  // and exchange halos instead of holding the full molecule. Requires the
-  // canonical-fold configuration (threads_per_rank == 1, kNodeNode,
-  // TraversalMode::kList); other shapes fall back to the replicated paths.
+  // and exchange halos instead of holding the full molecule. Requires
+  // threads_per_rank == 1, kNodeNode and TraversalMode::kList; other shapes
+  // run replicated.
   DataDistribution distribution = DataDistribution::kReplicated;
 
   // Fault injection, process kill, stall supervision (mpisim).
@@ -131,11 +133,11 @@ struct RunOptions {
   // so a non-empty field re-points every subsequent run too.
   std::string simd;
 
-  // Persistent rank-thread pool (mpisim/pool.hpp) for distributed shapes:
+  // Persistent rank-thread pool (mpisim/pool.hpp) for multi-rank shapes:
   // non-null runs the rank function on resident worker threads, amortizing
   // thread setup across requests (the serving layer's batching substrate);
   // null spawns per-run threads. Bit-identical either way. Ignored by the
-  // serial/cilk modes. Borrowed — the pool must outlive the run.
+  // serial mode. Borrowed — the pool must outlive the run.
   mpisim::PersistentPool* pool = nullptr;
 };
 
@@ -174,7 +176,7 @@ inline RunOptions distributed_options(int ranks, int threads_per_rank = 1) {
 }
 
 // Merged result: the old DriverResult surface plus the per-rank accounting
-// the distributed runtime reports (empty rank_results for serial/cilk).
+// the mpisim runtime reports (empty rank_results for serial runs).
 struct RunResult {
   double energy = 0.0;                // kcal/mol
   std::vector<double> born_sorted;    // atoms_tree order
@@ -237,7 +239,7 @@ struct RunResult {
 
   int ranks = 1;
   int threads_per_rank = 1;
-  std::vector<mpisim::RankResult> rank_results;  // distributed runs only
+  std::vector<mpisim::RankResult> rank_results;  // one per rank; empty for serial
 
   double modeled_seconds() const { return compute_seconds + comm_seconds; }
   // Max over ranks of measured compute (+ modeled straggler surplus); falls
@@ -347,12 +349,8 @@ bool write_run_result_json(const RunResult& result, const std::string& label,
 namespace detail {
 RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
                      const GBConstants& constants);
-RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
-                   const GBConstants& constants, int threads);
-RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
-                          const GBConstants& constants, const RunConfig& config);
-// Canonical chunk-fold path with cross-rank balancing (DESIGN.md "Load
-// balancing"); requires threads_per_rank == 1 and division == kNodeNode.
+// Canonical chunk-fold driver (DESIGN.md "Load balancing"): OCT_CILK,
+// OCT_MPI and OCT_MPI+CILK under every balance policy and work division.
 RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                        const GBConstants& constants, const RunOptions& options);
 // Owned-mode spatial domain decomposition (DataDistribution::kOwned): ranks

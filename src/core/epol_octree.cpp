@@ -212,11 +212,10 @@ double EpolSolver::energy_for_leaf_range(std::uint32_t leaf_lo,
   return scale_ * raw;
 }
 
-double EpolSolver::energy_for_atom_range(std::uint32_t atom_lo,
-                                         std::uint32_t atom_hi) const {
-  if (prep_->atoms_tree.empty() || atom_lo >= atom_hi) return 0.0;
+void EpolSolver::accumulate_energy_atom_range(std::uint32_t atom_lo,
+                                              std::uint32_t atom_hi, double& raw) const {
+  if (prep_->atoms_tree.empty() || atom_lo >= atom_hi) return;
   const auto leaves = prep_->atoms_tree.leaves();
-  double sum = 0.0;
   std::vector<double> bin_storage;
   for (const std::uint32_t leaf_id : leaves) {
     const OctreeNode& node = prep_->atoms_tree.node(leaf_id);
@@ -224,9 +223,15 @@ double EpolSolver::energy_for_atom_range(std::uint32_t atom_lo,
     const LeafView v = (node.begin >= atom_lo && node.end <= atom_hi)
                            ? make_leaf_view(leaf_id)
                            : make_truncated_view(leaf_id, atom_lo, atom_hi, bin_storage);
-    sum += approx_math_ ? recurse_single<true>(0, v) : recurse_single<false>(0, v);
+    raw += approx_math_ ? recurse_single<true>(0, v) : recurse_single<false>(0, v);
   }
-  return scale_ * sum;
+}
+
+double EpolSolver::energy_for_atom_range(std::uint32_t atom_lo,
+                                         std::uint32_t atom_hi) const {
+  double raw = 0.0;
+  accumulate_energy_atom_range(atom_lo, atom_hi, raw);
+  return scale_ * raw;
 }
 
 InteractionLists::TileCost EpolSolver::tile_cost() const {
@@ -341,39 +346,5 @@ double EpolSolver::energy_from_lists(const InteractionLists& lists) const {
          energy_near_range(lists, 0, lists.near.size());
 }
 
-template <bool kApproxMath>
-double EpolSolver::recurse_dual(std::uint32_t u_node, std::uint32_t v_node) const {
-  const OctreeNode& u = prep_->atoms_tree.node(u_node);
-  const OctreeNode& v = prep_->atoms_tree.node(v_node);
-  const double d2 = distance2(u.centroid, v.centroid);
-  const double reach = (u.radius + v.radius) * far_multiplier_;
-  if (d2 > reach * reach) {
-    return binned_far_term<kApproxMath>(node_bins(u_node), node_bins(v_node), d2);
-  }
-  if (u.is_leaf() && v.is_leaf()) {
-    const LeafView view = make_leaf_view(v_node);
-    return pair_sum_exact<kApproxMath>(u.begin, u.end, view);
-  }
-  // Split the larger non-leaf side.
-  const bool split_u = !u.is_leaf() && (v.is_leaf() || u.radius >= v.radius);
-  double sum = 0.0;
-  if (split_u) {
-    for (std::uint8_t c = 0; c < u.child_count; ++c)
-      sum += recurse_dual<kApproxMath>(static_cast<std::uint32_t>(u.first_child) + c, v_node);
-  } else {
-    for (std::uint8_t c = 0; c < v.child_count; ++c)
-      sum += recurse_dual<kApproxMath>(u_node, static_cast<std::uint32_t>(v.first_child) + c);
-  }
-  return sum;
-}
-
-double EpolSolver::energy_dual_subtree(std::uint32_t u_node, std::uint32_t v_node) const {
-  if (prep_->atoms_tree.empty()) return 0.0;
-  const double sum = approx_math_ ? recurse_dual<true>(u_node, v_node)
-                                  : recurse_dual<false>(u_node, v_node);
-  return scale_ * sum;
-}
-
-double EpolSolver::energy_dual_tree() const { return energy_dual_subtree(0, 0); }
 
 }  // namespace gbpol

@@ -18,7 +18,6 @@
 //    range, truncating boundary leaves; truncated leaves get re-aggregated
 //    pseudo-particles, which is why the paper observes the error CHANGING
 //    with the process count for this scheme.
-//  * energy_dual_tree: the prior-work dual-tree recursion (OCT_CILK).
 #pragma once
 
 #include <algorithm>
@@ -109,14 +108,13 @@ class EpolSolver {
                            std::size_t hi) const;
   double energy_from_lists(const InteractionLists& lists) const;
 
-  // --- raw accumulation (degraded-mode recovery) ---------------------------
+  // --- raw accumulation (canonical chunk fold) -----------------------------
   // The energy_* functions above fold entries sequentially into one running
   // sum and apply the -tau/2 ke scale ONCE at the end. These entry points
-  // expose that running sum, so a chain of ranks can continue each other's
-  // fold over disjoint sub-ranges and reproduce a dead rank's partial energy
-  // operation-for-operation (bit-identically): relay `raw` along the chain,
-  // accumulate, and let the last rank call finish_energy. The public energy
-  // functions are wrappers over these, guaranteeing the sequences agree.
+  // expose that running sum, so the parallel drivers can compute each
+  // chunk's raw far/near sums, fold them in ascending chunk order, and call
+  // finish_energy once on the folded totals. The public energy functions
+  // are wrappers over these, guaranteeing the sequences agree.
   void accumulate_energy_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
                                     double& raw) const;
   void accumulate_energy_far_range(const InteractionLists& lists, std::size_t lo,
@@ -132,13 +130,11 @@ class EpolSolver {
   // rounding pattern everywhere.
   double finish_energy_pair(double raw_far, double raw_near) const;
 
-  // Atom-based division: contribution of sorted atom slots [atom_lo, atom_hi).
+  // Atom-based division: contribution of sorted atom slots [atom_lo, atom_hi)
+  // (accumulate_ form: the raw running sum, as above).
   double energy_for_atom_range(std::uint32_t atom_lo, std::uint32_t atom_hi) const;
-
-  // Dual-tree recursion over ordered pairs (u in subtree U, v in subtree V).
-  // energy_dual_tree() == energy_dual_subtree(root, root) == full E_pol.
-  double energy_dual_tree() const;
-  double energy_dual_subtree(std::uint32_t u_node, std::uint32_t v_node) const;
+  void accumulate_energy_atom_range(std::uint32_t atom_lo, std::uint32_t atom_hi,
+                                    double& raw) const;
 
   int num_bins() const { return m_bins_; }
   double r_min() const { return r_min_; }
@@ -187,8 +183,6 @@ class EpolSolver {
                        std::size_t hi, double& sum) const;
   template <bool kApproxMath>
   double recurse_single(std::uint32_t u_node, const LeafView& v) const;
-  template <bool kApproxMath>
-  double recurse_dual(std::uint32_t u_node, std::uint32_t v_node) const;
 
   LeafView make_leaf_view(std::uint32_t node_id) const;
   LeafView make_truncated_view(std::uint32_t node_id, std::uint32_t atom_lo,

@@ -47,8 +47,7 @@ struct Prepared {
   std::shared_ptr<PageArena> hot_arena;
 
   // Per-q_tree-NODE aggregate sum of w*n — the tilde-n of Fig. 2, available
-  // at every node so both the single-tree (leaf Q) and dual-tree (any Q)
-  // algorithms can use it.
+  // at every node of the q tree.
   std::vector<Vec3> node_weighted_normal;
 
   // Per-q_tree-NODE first-moment tensor sum of w * n (x) (p - centroid):

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "octree/octree.hpp"
 
 namespace gbpol {
 
@@ -20,18 +19,6 @@ struct Segment {
 // by at most one). Returns segment `index`.
 Segment even_segment(std::size_t n, int parts, int index);
 
-// Even split of an EXISTING segment into `parts` sub-segments — the degraded
-// -mode recovery path uses this to re-partition a dead rank's leaf range
-// across the surviving ranks (same split rule as even_segment, offset by
-// whole.lo, so replays are deterministic).
-Segment sub_segment(Segment whole, int parts, int index);
-
-// Extension (DESIGN.md ablation): leaf segments balanced by the number of
-// POINTS under the leaves rather than the number of leaves, which evens the
-// exact-interaction work when leaf occupancy is skewed. Returns `parts`
-// segments of leaf indices.
-std::vector<Segment> leaf_segments_by_points(const Octree& tree, int parts);
-
 // Cost-guided partitioning: contiguous segments of `costs.size()` items,
 // chosen greedily so each segment's cumulative cost approaches its
 // proportional share of the total. Degenerates to an even item split when
@@ -40,8 +27,7 @@ std::vector<Segment> leaf_segments_by_points(const Octree& tree, int parts);
 // one item carries all the cost.
 std::vector<Segment> segments_by_cost(std::span<const double> costs, int parts);
 
-// Cross-rank balancing strategy for the chunked (canonical-reduction)
-// distributed path. All three policies yield bit-identical energies because
+// Cross-rank balancing strategy for the canonical chunk-fold driver. All three policies yield bit-identical energies because
 // the reduction folds fixed, policy-independent chunk partials in ascending
 // chunk order regardless of which rank computed each chunk (DESIGN.md
 // "Load balancing").
@@ -67,16 +53,13 @@ enum class DataDistribution {
   kOwned        // ranks own leaf ranges and exchange halos
 };
 
-// Work-division strategies for the distributed drivers (paper §IV-A, plus
-// the explicit cross-rank dynamic balancing of §VI's future work).
+// Work-division strategies for the parallel drivers (paper §IV-A). Dynamic
+// balancing is BalancePolicy's job (core/balance.hpp), not a division.
 enum class WorkDivision {
-  kNodeNode,     // default: leaf-node segments for both phases (error is
-                 // independent of the number of processes)
-  kAtomBased,    // atom-index segments (Gromacs-style; error drifts with P)
-  kNodeBalanced, // node-node with point-balanced leaf segments (extension)
-  kDynamic       // ranks fetch leaf chunks from a shared work counter,
-                 // each fetch charged as an RPC to rank 0 (extension: the
-                 // paper's "explicit dynamic load balancing" future work)
+  kNodeNode,   // default: leaf-node chunks for both phases (error is
+               // independent of the number of processes)
+  kAtomBased   // atom-index chunks for E_pol (Gromacs-style; error drifts
+               // with the chunk count, hence with P·p)
 };
 
 }  // namespace gbpol

@@ -1,9 +1,11 @@
 #include "molecule/io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <vector>
 
 namespace gbpol {
 
@@ -33,6 +35,17 @@ void check_finite(const Atom& a, const char* format, const char* unit,
   }
 }
 
+// Whole-token numeric parse: trailing characters ("1.5x") are a failure. A
+// leading '+' is accepted, as stream extraction does.
+template <typename T>
+bool parse_number(const std::string& token, T& out) {
+  const char* begin = token.data();
+  const char* end = begin + token.size();
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') ++begin;
+  const auto [ptr, ec] = std::from_chars(begin, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 void write_xyzqr(const Molecule& mol, std::ostream& os) {
@@ -51,8 +64,28 @@ void write_xyzqr_file(const Molecule& mol, const std::string& path) {
 }
 
 Molecule read_xyzqr(std::istream& is, std::string name) {
+  std::string line;
+  std::size_t line_no = 0;
+  std::vector<std::string> fields;
+  // Reads the next line into `fields`; false at end of input.
+  const auto next_line = [&] {
+    if (!std::getline(is, line)) return false;
+    ++line_no;
+    fields.clear();
+    std::istringstream tokens(line);
+    for (std::string f; tokens >> f;) fields.push_back(std::move(f));
+    return true;
+  };
+  const auto fail = [&](const auto&... parts) {
+    std::ostringstream msg;
+    msg << "xyzqr: line " << line_no << ": ";
+    (msg << ... << parts);
+    throw IoError(msg.str());
+  };
+
   std::size_t n = 0;
-  if (!(is >> n)) throw IoError("xyzqr: missing atom count");
+  if (!next_line() || fields.size() != 1 || !parse_number(fields[0], n))
+    throw IoError("xyzqr: missing atom count");
   if (n > kMaxAtoms) {
     std::ostringstream msg;
     msg << "xyzqr: declared atom count " << n << " exceeds limit " << kMaxAtoms;
@@ -61,16 +94,28 @@ Molecule read_xyzqr(std::istream& is, std::string name) {
   std::vector<Atom> atoms;
   atoms.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Atom a;
-    if (!(is >> a.pos.x >> a.pos.y >> a.pos.z >> a.charge >> a.radius)) {
+    if (!next_line()) {
       std::ostringstream msg;
       msg << "xyzqr: truncated at atom " << i << " of " << n;
       throw IoError(msg.str());
     }
-    check_finite(a, "xyzqr", "atom", i);
-    if (a.radius < 0.0) throw IoError("xyzqr: negative radius");
+    if (fields.size() != 5)
+      fail("expected 5 fields (x y z charge radius), found ", fields.size());
+    constexpr const char* kNames[5] = {"x", "y", "z", "charge", "radius"};
+    double v[5];
+    for (int k = 0; k < 5; ++k)
+      if (!parse_number(fields[static_cast<std::size_t>(k)], v[k]))
+        fail("field '", kNames[k], "' is not a number");
+    Atom a;
+    a.pos = Vec3{v[0], v[1], v[2]};
+    a.charge = v[3];
+    a.radius = v[4];
+    check_finite(a, "xyzqr", "line", line_no);
+    if (a.radius < 0.0) fail("negative radius");
     atoms.push_back(a);
   }
+  while (next_line())
+    if (!fields.empty()) fail("content after the ", n, " declared atoms");
   return Molecule(std::move(name), std::move(atoms));
 }
 

@@ -19,7 +19,10 @@ struct IoError : std::runtime_error {
 void write_xyzqr(const Molecule& mol, std::ostream& os);
 void write_xyzqr_file(const Molecule& mol, const std::string& path);
 
-// Throws IoError on malformed input.
+// Line-oriented: the count alone on the first line, then exactly five
+// numeric fields on each of the next `count` lines, and nothing but
+// whitespace after the last declared atom. Throws IoError (naming the line)
+// on malformed input.
 Molecule read_xyzqr(std::istream& is, std::string name = "molecule");
 Molecule read_xyzqr_file(const std::string& path);
 

@@ -38,14 +38,15 @@ enum class CollKind : std::uint8_t {
 inline constexpr int kCollKindCount = static_cast<int>(CollKind::kCount);
 const char* coll_kind_name(CollKind k);
 
-// Driver phases, in schedule order (mirrors core/drivers.cpp Fig. 4 steps).
+// Driver phases (core/drivers.cpp, after the Fig. 4 steps).
 enum class PhaseId : std::uint8_t {
-  kBornAccum = 0,  // step 2: approximated integrals
-  kBornReduce,     // step 3: allreduce (+ relay-chain recovery)
-  kPush,           // step 4: Born radii for this rank's atoms
-  kBornGather,     // step 5: allgatherv (+ slice recovery)
-  kEpol,           // step 6: partial energy
-  kEpolReduce,     // step 7: reduce to root (+ chain recovery)
+  kBornAccum = 0,  // step 2: approximated integrals, chunk by chunk
+  kBornReduce,     // step 3: Born phase sync (+ death recovery)
+  kPush,           // step 4: Born radii
+  kBornGather,     // step 5: canonical fold of the Born partials (owned
+                   // mode: the halo exchange of Born radii)
+  kEpol,           // step 6: E_pol chunks
+  kEpolReduce,     // step 7: E_pol phase sync (+ death recovery) and fold
   kOther,          // anything outside an explicit phase bracket
   kCount,
 };

@@ -85,7 +85,6 @@ void hash_evaluation_params(Hasher& h, const ServeRequest& r,
   h.add(static_cast<std::uint64_t>(run.division));
   h.add(static_cast<std::uint64_t>(run.traversal));
   h.add(static_cast<std::uint64_t>(run.balance));
-  h.add(static_cast<std::uint64_t>(run.canonical_reduction));
   h.add(static_cast<std::uint64_t>(run.balance_chunk_leaves));
   h.add(static_cast<std::uint64_t>(run.distribution));
   h.add(static_cast<std::uint64_t>(run.integrity_guards));

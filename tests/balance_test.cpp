@@ -252,7 +252,6 @@ class BalancePolicyTest : public ::testing::Test {
   static RunOptions balanced_options(int ranks, BalancePolicy policy) {
     RunOptions options = distributed_options(ranks);
     options.balance = policy;
-    options.canonical_reduction = true;  // kStatic baseline on the same fold
     return options;
   }
 
@@ -285,6 +284,26 @@ TEST_F(BalancePolicyTest, PoliciesAreBitIdenticalOnGoldenMolecule) {
     // The baseline never migrates; the accounting fields must say so.
     EXPECT_EQ(baseline.migrated_chunks, 0u);
     EXPECT_EQ(baseline.steal_grants, 0u);
+  }
+}
+
+TEST_F(BalancePolicyTest, HybridShapesMatchPureMpiUnderEveryPolicy) {
+  // The chunk plan derives from the total worker count, and inside a rank
+  // the chunks run as work-stealing tasks whose partials fold in the same
+  // ascending order: 2 ranks x 3 workers, 3 x 2 and OCT_CILK's 1 x 6 all
+  // match the 6-rank static baseline to the last bit.
+  const RunResult baseline = run(balanced_options(6, BalancePolicy::kStatic));
+  for (const BalancePolicy policy :
+       {BalancePolicy::kStatic, BalancePolicy::kCostModel, BalancePolicy::kSteal}) {
+    for (const RunOptions& shape :
+         {distributed_options(2, 3), distributed_options(3, 2), cilk_options(6)}) {
+      RunOptions options = shape;
+      options.balance = policy;
+      SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
+                   " ranks=" + std::to_string(shape.ranks) +
+                   " threads=" + std::to_string(shape.threads_per_rank));
+      expect_bit_identical(run(options), baseline);
+    }
   }
 }
 

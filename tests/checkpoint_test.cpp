@@ -331,8 +331,8 @@ TEST_F(CheckpointDriverTest, KillDuringEnergyPhaseResumesBitExactly) {
     config.checkpoint.dir = fresh_dir("drv_kill_epol");
     config.checkpoint.chunk_leaves = 2;
     config.checkpoint.every_k_chunks = 1;
-    // Collective 2 = after the Born allreduce + allgatherv: the E_pol loop.
-    config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
+    // Collective 1 = the E_pol phase sync, so the kill lands in the E_pol loop.
+    config.kill = {.armed = true, .rank = 0, .collective_seq = 1, .tick = 2};
     const RunResult killed = run(config, traversal);
     EXPECT_TRUE(killed.killed);
 
@@ -350,7 +350,7 @@ TEST_F(CheckpointDriverTest, CorruptSnapshotsFallBackNeverWrongAnswer) {
   config.checkpoint.dir = fresh_dir("drv_corrupt");
   config.checkpoint.chunk_leaves = 2;
   config.checkpoint.every_k_chunks = 1;
-  config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
+  config.kill = {.armed = true, .rank = 0, .collective_seq = 1, .tick = 2};
   const RunResult killed = run(config);
   ASSERT_TRUE(killed.killed);
 

@@ -20,6 +20,13 @@ RunResult run_serial(const Fixture& f, const ApproxParams& params) {
   return Engine(f.prep, params, GBConstants{}).run(serial_options());
 }
 
+void expect_bit_identical(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.energy, b.energy);  // exact: 0 ulp
+  ASSERT_EQ(a.born_sorted.size(), b.born_sorted.size());
+  for (std::size_t i = 0; i < a.born_sorted.size(); ++i)
+    ASSERT_EQ(a.born_sorted[i], b.born_sorted[i]) << "born slot " << i;
+}
+
 class DriversTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { fixture_ = new Fixture(make_fixture(900)); }
@@ -63,13 +70,32 @@ TEST_F(DriversTest, DistributedBornRadiiMatchSerial) {
 }
 
 TEST_F(DriversTest, HybridMatchesPureMpi) {
+  // Chunks are cut from the total worker count and folded in ascending
+  // order, so 2 ranks x 6 workers is the same computation as 12 x 1.
   ApproxParams params;
   const Engine engine(fix().prep, params, GBConstants{});
-  RunOptions hybrid = distributed_options(2);
-  hybrid.threads_per_rank = 6;
-  const RunResult a = engine.run(distributed_options(12));
-  const RunResult b = engine.run(hybrid);
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-9);
+  expect_bit_identical(engine.run(distributed_options(2, 6)),
+                       engine.run(distributed_options(12)));
+}
+
+TEST_F(DriversTest, SameTotalWorkerCountIsBitIdenticalOnEveryRoute) {
+  // OCT_CILK (one rank, p workers), pure OCT_MPI and the OCT_MPI+CILK
+  // hybrid are one driver: at equal P·p they give the same energy and Born
+  // radii to the last bit, under the static split and under stealing.
+  ApproxParams params;
+  const Engine engine(fix().prep, params, GBConstants{});
+  for (const BalancePolicy policy : {BalancePolicy::kStatic, BalancePolicy::kSteal}) {
+    SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)));
+    const auto with = [policy](RunOptions options) {
+      options.balance = policy;
+      return options;
+    };
+    const RunResult mpi4 = engine.run(with(distributed_options(4)));
+    expect_bit_identical(engine.run(with(cilk_options(4))), mpi4);
+    expect_bit_identical(engine.run(with(distributed_options(2, 2))), mpi4);
+    expect_bit_identical(engine.run(with(distributed_options(2, 6))),
+                         engine.run(with(distributed_options(12))));
+  }
 }
 
 TEST(DriversEdgeTest, MoreRanksThanLeavesGivesEmptySegmentsNotCrashes) {
@@ -83,8 +109,7 @@ TEST(DriversEdgeTest, MoreRanksThanLeavesGivesEmptySegmentsNotCrashes) {
   const Engine engine(tiny.prep, params, GBConstants{});
   const RunResult serial = run_serial(tiny, params);
   for (const WorkDivision division :
-       {WorkDivision::kNodeNode, WorkDivision::kAtomBased,
-        WorkDivision::kNodeBalanced, WorkDivision::kDynamic}) {
+       {WorkDivision::kNodeNode, WorkDivision::kAtomBased}) {
     RunOptions options = distributed_options(16);
     options.division = division;
     const RunResult r = engine.run(options);
@@ -121,15 +146,11 @@ TEST_F(DriversTest, CilkDriverMatchesNaiveScale) {
 }
 
 TEST_F(DriversTest, CilkDriverStableAcrossRuns) {
-  // The energy reduction uses a fixed combine tree, but the Born phase's
-  // per-worker accumulators regroup FP additions depending on which worker
-  // stole which task (as in cilk++ without reducers), so runs agree to FP
-  // reassociation noise, not bit-for-bit.
+  // Whichever worker steals which chunk, each chunk's partial is computed
+  // fresh-from-zero and the fold order is fixed: runs agree bit for bit.
   ApproxParams params;
   const Engine engine(fix().prep, params, GBConstants{});
-  const RunResult a = engine.run(cilk_options(4));
-  const RunResult b = engine.run(cilk_options(4));
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-10);
+  expect_bit_identical(engine.run(cilk_options(4)), engine.run(cilk_options(4)));
 }
 
 TEST_F(DriversTest, MemoryAccountingScalesWithRanks) {
@@ -170,33 +191,6 @@ TEST_F(DriversTest, AtomBasedDivisionEnergyVariesWithRankCount) {
   EXPECT_LT(percent_error(b.energy, fix().naive_energy), 6.0);
 }
 
-TEST_F(DriversTest, BalancedNodeDivisionMatchesDefaultEnergy) {
-  ApproxParams params;
-  const Engine engine(fix().prep, params, GBConstants{});
-  const RunOptions def = distributed_options(5);
-  RunOptions balanced = def;
-  balanced.division = WorkDivision::kNodeBalanced;
-  const RunResult a = engine.run(def);
-  const RunResult b = engine.run(balanced);
-  // Same set of leaf-vs-tree interactions, different grouping only.
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-10);
-}
-
-TEST_F(DriversTest, DynamicDivisionMatchesStaticEnergy) {
-  // kDynamic self-schedules the same leaf set, so the energy equals the
-  // static division up to the order partial sums are folded.
-  ApproxParams params;
-  const Engine engine(fix().prep, params, GBConstants{});
-  const RunOptions station = distributed_options(6);
-  RunOptions dynamic = station;
-  dynamic.division = WorkDivision::kDynamic;
-  const RunResult a = engine.run(station);
-  const RunResult b = engine.run(dynamic);
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-9);
-  // Each chunk fetch is charged as an RPC: dynamic must report more comm.
-  EXPECT_GT(b.comm_seconds, a.comm_seconds);
-}
-
 TEST_F(DriversTest, FaultFreeRunsReportZeroRetriesAndRedistribution) {
   // Regression guard: the fault accounting fields must be POPULATED (as
   // zeros) on the fault-free path, not left to whatever the caller had —
@@ -204,8 +198,7 @@ TEST_F(DriversTest, FaultFreeRunsReportZeroRetriesAndRedistribution) {
   ApproxParams params;
   const Engine engine(fix().prep, params, GBConstants{});
   for (const WorkDivision division :
-       {WorkDivision::kNodeNode, WorkDivision::kAtomBased,
-        WorkDivision::kNodeBalanced}) {
+       {WorkDivision::kNodeNode, WorkDivision::kAtomBased}) {
     RunOptions options = distributed_options(4);
     options.division = division;
     const RunResult r = engine.run(options);
@@ -220,8 +213,7 @@ TEST_F(DriversTest, FaultFreeRunsReportZeroRetriesAndRedistribution) {
 
 TEST_F(DriversTest, TimingFieldsPopulated) {
   ApproxParams params;
-  RunOptions options = distributed_options(3);
-  options.threads_per_rank = 2;
+  const RunOptions options = distributed_options(3, 2);
   const RunResult r = Engine(fix().prep, params, GBConstants{}).run(options);
   EXPECT_GT(r.compute_seconds, 0.0);
   EXPECT_GT(r.comm_seconds, 0.0);

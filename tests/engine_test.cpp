@@ -51,11 +51,10 @@ TEST_F(EngineTest, FactoriesSetTheAdvertisedShape) {
   EXPECT_EQ(dist.ranks, 8);
   EXPECT_EQ(dist.threads_per_rank, 2);
   // The side-channel-free defaults: empty destinations, no faults, static
-  // balance on the legacy reduction.
+  // balance.
   EXPECT_TRUE(dist.trace_out.empty());
   EXPECT_TRUE(dist.campaign_dir.empty());
   EXPECT_EQ(dist.balance, BalancePolicy::kStatic);
-  EXPECT_FALSE(dist.canonical_reduction);
 }
 
 TEST_F(EngineTest, AutoModeRoutesByTopology) {
@@ -67,10 +66,11 @@ TEST_F(EngineTest, AutoModeRoutesByTopology) {
   EXPECT_TRUE(serial.rank_results.empty());
   ASSERT_NE(serial.energy, 0.0);
 
-  options.threads_per_rank = 4;  // kAuto, threads > 1 -> cilk
+  options.threads_per_rank = 4;  // kAuto, threads > 1 -> cilk: one rank
   const RunResult cilk = engine.run(options);
+  EXPECT_EQ(cilk.ranks, 1);
   EXPECT_EQ(cilk.threads_per_rank, 4);
-  EXPECT_TRUE(cilk.rank_results.empty());
+  EXPECT_EQ(cilk.rank_results.size(), 1u);
 
   options.threads_per_rank = 1;
   options.ranks = 3;  // kAuto, ranks > 1 -> distributed

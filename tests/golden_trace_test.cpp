@@ -44,9 +44,10 @@ TEST_F(GoldenTraceTest, FaultFreeReplayIsBitIdentical) {
 }
 
 TEST_F(GoldenTraceTest, FaultedReplayIsBitIdentical) {
-  // Death at a collective entry plus a dropped p2p message exercise the
-  // abort/retry and retransmit paths; both are scheduled on logical
-  // coordinates, so the canonical dumps must still match byte for byte.
+  // Death at a collective entry exercises the abort/retry path (the dropped
+  // p2p copy only bites where p2p traffic exists: owned mode, below); both
+  // are scheduled on logical coordinates, so the canonical dumps must still
+  // match byte for byte.
   ApproxParams params;
   RunOptions config;
   config.ranks = 3;
@@ -62,12 +63,15 @@ TEST_F(GoldenTraceTest, FaultedReplayIsBitIdentical) {
 }
 
 TEST_F(GoldenTraceTest, PlannedFaultsAppearExactlyInTrace) {
+  // Owned mode: the replicated driver sends no p2p messages, the owned
+  // driver's halo exchange does.
   ApproxParams params;
   RunOptions config;
   config.ranks = 3;
-  config.faults.deaths.push_back({/*rank=*/2, /*collective_seq=*/0});
-  // First rank0 -> rank1 send is the Born recovery relay hand-off; losing
-  // its first two copies forces exactly two retransmit rounds at rank 1.
+  config.distribution = DataDistribution::kOwned;
+  config.faults.deaths.push_back({/*rank=*/2, /*collective_seq=*/1});
+  // First rank0 -> rank1 send is a Born halo hand-off; losing its first two
+  // copies forces exactly two retransmit rounds at rank 1.
   config.faults.drops.push_back(
       {/*src=*/0, /*dst=*/1, /*send_seq=*/0, /*lost_copies=*/2});
   const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
@@ -75,7 +79,7 @@ TEST_F(GoldenTraceTest, PlannedFaultsAppearExactlyInTrace) {
   const auto deaths = events_of(run.trace, obs::EventKind::kDeath);
   ASSERT_EQ(deaths.size(), 1u);
   EXPECT_EQ(deaths[0].rank, 2);
-  EXPECT_EQ(deaths[0].a, 0u);  // the scheduled collective seq
+  EXPECT_EQ(deaths[0].a, 1u);  // the scheduled collective seq
   EXPECT_EQ(deaths[0].arg,
             static_cast<std::uint8_t>(obs::DeathCause::kScheduled));
 
@@ -93,12 +97,12 @@ TEST_F(GoldenTraceTest, PlannedFaultsAppearExactlyInTrace) {
   ASSERT_EQ(run.trace.metrics.ranks, 3);
   EXPECT_EQ(run.trace.metrics.rank_retransmits[1], 2u);
 
-  // The dead rank's enter for seq 0 precedes its death in its own stream.
+  // The dead rank's enter for seq 1 precedes its death in its own stream.
   for (const obs::EventStream& s : run.trace.streams) {
     if (s.rank != 2) continue;
     bool entered = false;
     for (const obs::Event& e : s.events) {
-      if (e.kind == obs::EventKind::kCollectiveEnter && e.a == 0) entered = true;
+      if (e.kind == obs::EventKind::kCollectiveEnter && e.a == 1) entered = true;
       if (e.kind == obs::EventKind::kDeath) {
         EXPECT_TRUE(entered)
             << "death recorded before its collective enter";
@@ -117,7 +121,6 @@ TEST_F(GoldenTraceTest, CollectiveKindSequenceMatchesDistributionMode) {
     ApproxParams params;
     RunOptions config;
     config.ranks = 4;
-    config.canonical_reduction = true;
     config.distribution = dist;
     const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
     SCOPED_TRACE(dist == DataDistribution::kOwned ? "owned" : "replicated");
@@ -141,7 +144,6 @@ TEST_F(GoldenTraceTest, OwnedFaultFreeReplayIsBitIdentical) {
   ApproxParams params;
   RunOptions config;
   config.ranks = 4;
-  config.canonical_reduction = true;
   config.distribution = DataDistribution::kOwned;
   const TracedRun a = run_traced(fix().prep, params, GBConstants{}, config);
   const TracedRun b = run_traced(fix().prep, params, GBConstants{}, config);
@@ -161,7 +163,6 @@ TEST_F(GoldenTraceTest, OwnedFaultedReplayIsBitIdenticalAndExact) {
   RunOptions clean;
   clean.mode = EngineMode::kDistributed;
   clean.ranks = 3;
-  clean.canonical_reduction = true;
   const RunResult replicated =
       Engine(fix().prep, params, GBConstants{}).run(clean);
 
@@ -185,7 +186,6 @@ TEST_F(GoldenTraceTest, OwnedHaloEventsMatchByteMetrics) {
   ApproxParams params;
   RunOptions config;
   config.ranks = kRanks;
-  config.canonical_reduction = true;
   config.distribution = DataDistribution::kOwned;
   const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
   ASSERT_GT(run.result.owned_bytes_per_rank, 0u);
@@ -221,10 +221,10 @@ TEST_F(GoldenTraceTest, OwnedHaloEventsMatchByteMetrics) {
 }
 
 TEST_F(GoldenTraceTest, FaultedEnergyMatchesFaultFree) {
-  // The recovery relays reproduce the dead rank's fold exactly; the golden
-  // schedule must therefore leave the energy bit-identical (the property the
-  // fault-injection suite pins at large; re-asserted here against the traced
-  // configuration specifically).
+  // Recovery recomputes the dead rank's chunks fresh-from-zero and the fold
+  // order is fixed; the golden schedule must therefore leave the energy
+  // bit-identical (the property the fault-injection suite pins at large;
+  // re-asserted here against the traced configuration specifically).
   ApproxParams params;
   RunOptions clean;
   clean.ranks = 3;

@@ -271,6 +271,35 @@ TEST(IoTest, RejectsAbsurdAtomCountBeforeAllocating) {
   EXPECT_NE(msg.find("exceeds limit"), std::string::npos) << msg;
 }
 
+TEST(IoTest, RejectsXyzqrAtomLinesPastTheHeaderCount) {
+  // The header declares one atom; a second atom line means the count is
+  // wrong, and the reader must not guess which one.
+  std::istringstream extra_atom("1\n0 0 0 1 1\n2 2 2 -1 1\n");
+  const std::string msg = io_error_of([&] { read_xyzqr(extra_atom); });
+  ASSERT_FALSE(msg.empty());
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+}
+
+TEST(IoTest, RejectsXyzqrLinesWithExtraFields) {
+  // A token-stream parse would shift every following atom by one field.
+  std::istringstream extra_field("2\n0 0 0 1 1 7\n1 1 1 -1 1\n");
+  const std::string msg = io_error_of([&] { read_xyzqr(extra_field); });
+  ASSERT_FALSE(msg.empty());
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("5 fields"), std::string::npos) << msg;
+
+  std::istringstream glued("1\n0 0 0 1 1.5x\n");
+  const std::string glued_msg = io_error_of([&] { read_xyzqr(glued); });
+  EXPECT_NE(glued_msg.find("'radius'"), std::string::npos) << glued_msg;
+}
+
+TEST(IoTest, XyzqrAcceptsTrailingWhitespaceOnly) {
+  std::istringstream padded("2\n0 0 0 1 1\n1 1 1 -1 1  \r\n\n   \n");
+  const Molecule mol = read_xyzqr(padded);
+  ASSERT_EQ(mol.size(), 2u);
+  EXPECT_EQ(mol.atom(1).charge, -1.0);
+}
+
 TEST(IoTest, FileRoundTrip) {
   const Molecule mol = molgen::synthetic_protein(20, 22);
   const std::string path = ::testing::TempDir() + "/gbpol_io_test.xyzqr";

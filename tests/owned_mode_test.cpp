@@ -37,11 +37,7 @@ Prepared build_prep(const Golden& g) {
   return Prepared::build(mol, quad, 16);
 }
 
-RunOptions replicated_options(int ranks) {
-  RunOptions options = distributed_options(ranks);
-  options.canonical_reduction = true;  // the chunk-fold baseline
-  return options;
-}
+RunOptions replicated_options(int ranks) { return distributed_options(ranks); }
 
 RunOptions owned_options(int ranks) {
   RunOptions options = replicated_options(ranks);

@@ -61,7 +61,7 @@ Prepared* SoakMpisimTest::prep_ = nullptr;
 TEST_F(SoakMpisimTest, RandomSchedulesRecoverBitExactly) {
   FaultPlan::RandomProfile profile;
   profile.max_deaths = 2;
-  profile.collective_horizon = 5;  // covers all 3 driver collectives + retries
+  profile.collective_horizon = 5;  // covers both driver collectives + retries
   constexpr int kSeedsPerRankCount = 35;
 
   for (const int ranks : {3, 5, 8}) {
@@ -81,7 +81,7 @@ TEST_F(SoakMpisimTest, RandomSchedulesRecoverBitExactly) {
       for (std::size_t i = 0; i < clean.born_sorted.size(); ++i)
         ASSERT_EQ(faulty.born_sorted[i], clean.born_sorted[i]) << "born slot " << i;
       // A scheduled death only fires if its collective_seq is actually
-      // reached (the driver runs 3 collectives plus any retries), so
+      // reached (the driver runs 2 collectives plus any retries), so
       // degraded implies a death was scheduled — not the converse.
       EXPECT_TRUE(!faulty.degraded || plan.has_deaths());
       // Every 10th schedule: replay and require identical fault accounting.
@@ -104,12 +104,12 @@ TEST_F(SoakMpisimTest, DeathHeavySchedulesRecoverBitExactly) {
   const RunResult clean = run(ranks, {});
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
     FaultPlan plan;
-    // collective_seq in {0, 1, 2}: the driver's three collectives, so every
+    // collective_seq in {0, 1}: the driver's two phase syncs, so every
     // scheduled death actually fires.
     plan.deaths.push_back(
-        {.rank = static_cast<int>(seed % ranks), .collective_seq = seed % 3});
+        {.rank = static_cast<int>(seed % ranks), .collective_seq = seed % 2});
     if (seed % 3 == 0 && (seed % ranks) != 2)
-      plan.deaths.push_back({.rank = 2, .collective_seq = (seed + 1) % 3});
+      plan.deaths.push_back({.rank = 2, .collective_seq = (seed + 1) % 2});
     const RunResult faulty = run(ranks, plan);
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ASSERT_EQ(faulty.energy, clean.energy);
@@ -180,8 +180,8 @@ TEST_F(SoakMpisimTest, KillAndRestartSchedulesResumeBitExactly) {
 
 // Cascading death: the recovery of the first death is itself interrupted by
 // the death of another survivor at the immediately following logical clock
-// (the retried collective), so the relay chain has to re-form around the
-// second corpse. The final answer must still be exact.
+// (the retried collective), so the recovery stripes have to re-form around
+// the second corpse. The final answer must still be exact.
 TEST_F(SoakMpisimTest, CascadingDeathDuringRecoveryStaysBitExact) {
   const int ranks = 5;
   const RunResult clean = run(ranks, {});
@@ -201,7 +201,8 @@ TEST_F(SoakMpisimTest, CascadingDeathDuringRecoveryStaysBitExact) {
       EXPECT_TRUE(faulty.degraded);
     }
   }
-  // Triple cascade across all three driver collectives.
+  // Triple cascade: each death lands on the collective the previous one
+  // forced into a retry.
   FaultPlan plan;
   plan.deaths.push_back({.rank = 1, .collective_seq = 0});
   plan.deaths.push_back({.rank = 2, .collective_seq = 1});
@@ -220,7 +221,7 @@ TEST_F(SoakMpisimTest, CascadingDeathDuringRecoveryStaysBitExact) {
 TEST_F(SoakMpisimTest, StealSchedulesMatchCanonicalStaticBitExactly) {
   constexpr int kSeedsPerRankCount = 30;
   for (const int ranks : {3, 5, 8}) {
-    // kStatic + canonical_reduction baseline per chunk granularity (the
+    // kStatic baseline per chunk granularity (the
     // fold changes with the boundaries, so each granularity has its own).
     std::map<std::uint32_t, RunResult> baselines;
     for (int s = 0; s < kSeedsPerRankCount; ++s) {
@@ -247,7 +248,6 @@ TEST_F(SoakMpisimTest, StealSchedulesMatchCanonicalStaticBitExactly) {
         RunOptions canonical;
         canonical.mode = EngineMode::kDistributed;
         canonical.ranks = ranks;
-        canonical.canonical_reduction = true;  // kStatic on the same fold
         canonical.balance_chunk_leaves = chunk_leaves;
         RunResult clean =
             Engine(*prep_, ApproxParams{}, GBConstants{}).run(canonical);
@@ -313,7 +313,6 @@ TEST_F(SoakMpisimTest, OwnedSchedulesMatchReplicatedCanonicalBitExactly) {
         RunOptions canonical;
         canonical.mode = EngineMode::kDistributed;
         canonical.ranks = ranks;
-        canonical.canonical_reduction = true;  // replicated kStatic fold
         canonical.balance_chunk_leaves = chunk_leaves;
         RunResult clean =
             Engine(*prep_, ApproxParams{}, GBConstants{}).run(canonical);
@@ -360,10 +359,7 @@ TEST_F(SoakMpisimTest, RandomCorruptionSchedulesRecoverBitExactly) {
       base.mode = EngineMode::kDistributed;
       base.ranks = ranks;
       base.balance_chunk_leaves = 2;
-      if (owned)
-        base.distribution = DataDistribution::kOwned;
-      else
-        base.canonical_reduction = true;  // kStatic on the canonical fold
+      if (owned) base.distribution = DataDistribution::kOwned;
       const RunResult clean =
           Engine(*prep_, ApproxParams{}, GBConstants{}).run(base);
       ASSERT_NE(clean.energy, 0.0);
