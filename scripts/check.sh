@@ -3,8 +3,8 @@
 # (unit, property, checkpoint, balance, owned, integrity, incremental, serve,
 # trace) under each, plus repo-wide gates: the removed run_oct_* free
 # functions must not reappear anywhere (the Engine/Service API surface is
-# final), nor the deleted legacy driver symbols (one replicated chunk-fold
-# driver), perfbench's metric unit tests must pass, the balance_stress bench must
+# final), nor the deleted legacy driver symbols (one chunk-fold driver for
+# every parallel shape and data view), perfbench's metric unit tests must pass, the balance_stress bench must
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
 # records the ratios in bench_out/micro_kernels.json), the approx-math
@@ -52,15 +52,17 @@ if grep -rnE 'run_oct_(serial|cilk|distributed)' src bench tests examples 2>/dev
   exit 1
 fi
 
-echo "=== grep gate: one replicated chunk-fold driver ==="
-# OCT_CILK and OCT_MPI+CILK run on the canonical chunk-fold driver; the
-# legacy distributed driver, the dual-tree recursion, the data-distributed
-# prototype, the canonical_reduction switch and the kNodeBalanced/kDynamic
-# divisions were deleted with it and must not come back. The harness package
-# names ("oct_cilk" in quotes) are labels, not symbols, and stay allowed.
-if grep -rnP '(?<!")\b(oct_distributed|oct_cilk)\b(?!")|dual_subtree|recurse_dual|canonical_reduction|kNodeBalanced|kDynamic|distributed_data' \
+echo "=== grep gate: one chunk-fold driver ==="
+# OCT_CILK, OCT_MPI+CILK and owned-mode data distribution all run on the
+# canonical chunk-fold driver (owned mode is its data view); the legacy
+# distributed driver, the separate owned driver (oct_owned), the dual-tree
+# recursion, the data-distributed prototype, the canonical_reduction switch
+# and the kNodeBalanced/kDynamic divisions were deleted and must not come
+# back. The harness package names ("oct_cilk" in quotes) are labels, not
+# symbols, and stay allowed.
+if grep -rnP '(?<!")\b(oct_distributed|oct_cilk|oct_owned)\b(?!")|dual_subtree|recurse_dual|canonical_reduction|kNodeBalanced|kDynamic|distributed_data' \
     src bench tests examples 2>/dev/null; then
-  echo "check.sh: a deleted driver symbol is back in-tree (every replicated shape runs on detail::oct_balanced)" >&2
+  echo "check.sh: a deleted driver symbol is back in-tree (every parallel shape and data view runs on detail::oct_balanced)" >&2
   exit 1
 fi
 

@@ -27,7 +27,8 @@ namespace gbpol {
 namespace {
 
 // 12000 is the owned-mode Born halo exchange (core/halo_exchange.cpp);
-// 12001 gathers the owned Born slices to the writer at the end of oct_owned.
+// 12001 gathers the owned Born slices to the writer at the end of an owned-view
+// run of oct_balanced.
 constexpr int kTagOwnedBorn = 12001;
 
 // Surviving ranks in ascending order (`dead` is ascending, per Comm).
@@ -336,7 +337,7 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 // ---------------------------------------------------------------------------
 // Canonical chunk-fold driver: OCT_CILK (P = 1), OCT_MPI (p = 1) and
 // OCT_MPI+CILK, under every balance policy (core/balance.hpp, DESIGN.md
-// "Load balancing").
+// "Load balancing"), over either data view.
 //
 // Work is cut into fixed, policy-independent chunks sized from the total
 // worker count P·p; each chunk's partial is computed fresh-from-zero by
@@ -349,12 +350,37 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 // (RankWorkers); kill polls, snapshot commits, integrity seals and steal
 // replays happen between waves on the rank thread.
 //
-// The Born push is replicated (every rank pushes all atoms from the identical
-// folded accumulator, so no gather is needed), and each phase synchronizes
-// on a 1-double token allreduce whose abort is the death-recovery point —
-// deaths fire only at collective entries, so a rank that dies there has
-// already finished and published its chunks for the current phase; only its
-// NEXT-phase chunks ever need recovery.
+// Each phase synchronizes on a 1-double token allreduce whose abort is the
+// death-recovery point — deaths fire only at collective entries, so a rank
+// that dies there has already finished and published its chunks for the
+// current phase; only its NEXT-phase chunks ever need recovery.
+//
+// The replicated view (DataDistribution::kReplicated) pushes every atom on
+// every rank from the identical folded accumulator, so no gather is needed.
+// The owned view (DataDistribution::kOwned, core/halo_exchange.hpp) keeps
+// the chunks, the fold order and the recovery protocol, and changes only
+// what each rank holds — its OWNED Morton-contiguous leaf ranges plus a
+// planned HALO:
+//
+//  * Ownership + halo plans are built host-side from the chunk/balance
+//    plans (pure geometry), are identical on every rank, and hash into the
+//    checkpoint job key and every snapshot head, so a restart provably
+//    resumes the same redistribution.
+//  * The canonical Born fold is SLICED: a rank folds only the accumulator
+//    elements serving its owned atoms, in ascending chunk order per element
+//    — bit-identical to the full fold — and pushes only its owned atoms.
+//  * Born radii outside owned + halo stay NaN (an under-import poisons the
+//    energy instead of silently reading zeros). The halo plan's near sets
+//    are exchanged p2p after the push; far-field needs are met by an exact
+//    (r_min, r_max) allreduce_min and an allgatherv of owned leaf bin rows
+//    plus a local internal re-fold, so the far aggregate store is
+//    bit-identical on every rank. The writer gathers the radii p2p at the
+//    end.
+//  * Reads that fall outside the halo (dead ranks' slices, recovery chunks)
+//    are served by reconstruct_born: a lazy full fold of the shared chunk
+//    partials (or a full recompute on a resumed run) plus an assign-push of
+//    just the needed range — exact by per-element fold independence, O(N)
+//    only on degraded paths.
 RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                        const GBConstants& constants, const RunOptions& options) {
   RunResult result;
@@ -362,12 +388,14 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   result.threads_per_rank = std::max(1, options.threads_per_rank);
   const int P = result.ranks;
   const int p = result.threads_per_rank;
+  const bool owned = options.distribution == DataDistribution::kOwned;
 
   const BornSolver born_solver(prep, params);
   const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
   const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
   const std::uint32_t n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
   const std::size_t acc_len = born_solver.make_accumulator().flat().size();
+  const auto n_blocks = static_cast<std::uint32_t>((acc_len + kFoldBlock - 1) / kFoldBlock);
   // kAtomBased cuts the E_pol phase into atom-index chunks instead of leaf
   // chunks: boundary leaves are truncated, so the energy drifts with the
   // chunk count (the paper's §IV-A ablation). It walks the tree recursively
@@ -385,6 +413,19 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   const std::vector<int>& born_executor = plans.born.executor;
   const std::vector<int>& epol_executor = plans.epol.executor;
   result.steal_grants = plan_born.steals.size() + plan_epol.steals.size();
+
+  // Owned view: the halo replays the EXECUTOR chunk assignment, so a policy
+  // change (different steals) changes the halo — owned snapshots are
+  // deliberately NOT policy-portable.
+  OwnershipMap ownership;
+  HaloPlan halo;
+  if (owned) {
+    ownership = make_ownership_map(prep, P, born_plan, epol_plan);
+    halo = build_halo_plan(prep, params, ownership, plan_born, born_plan, plan_epol,
+                           epol_plan);
+  }
+  const std::uint64_t ownership_hash = owned ? ownership.hash() : 0;
+  const std::uint64_t halo_hash = owned ? halo.hash() : 0;
 
   // Shared cross-rank state: each chunk slot is written by exactly one rank
   // (ledger discipline), then read by all after the phase sync's barrier.
@@ -415,18 +456,42 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       options.corruption.empty() ? 0 : epol_plan.n_chunks, 0u);
 
   // ---- Checkpoint/restart. The job key covers the chunk geometry but NOT
-  // the balance policy: snapshots are policy-portable, because a restored
-  // chunk's partial is identical wherever (and under whichever policy) it
-  // was computed.
+  // the balance policy: replicated snapshots are policy-portable, because a
+  // restored chunk's partial is identical wherever (and under whichever
+  // policy) it was computed. The owned view adds its plan hashes.
   const ckpt::CheckpointPolicy& policy = options.checkpoint;
-  const std::uint64_t job_key = ckpt::fnv1a64(
+  const std::uint64_t replicated_key = ckpt::fnv1a64(
       {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
        static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
        born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
        epol_plan.chunk_items, static_cast<std::uint64_t>(options.division),
        integrity_job_word(options.integrity_guards), policy.job_salt});
+  const std::uint64_t job_key =
+      owned ? ckpt::fnv1a64({replicated_key, 0x04EDull, ownership_hash, halo_hash})
+            : replicated_key;
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
+
+  // Owned snapshot heads end in a 2-double section carrying the ownership +
+  // halo hashes; a restore whose plans would redistribute differently is
+  // rejected (belt to the job key's suspenders — the key already covers
+  // both hashes, this keeps a truncated/corrupt section from slipping by).
+  const std::size_t hash_sections = owned ? 1 : 0;
+  const std::uint64_t hash_words[2] = {ownership_hash, halo_hash};
+  const auto with_hashes = [&](std::vector<std::vector<double>> head) {
+    if (owned) {
+      head.emplace_back(2);
+      std::memcpy(head.back().data(), hash_words, sizeof(hash_words));
+    }
+    return head;
+  };
+  // Snapshot `s` carries at least `n` head sections, then the matching hash
+  // section in the owned view (compared as bits: a hash may read as NaN).
+  const auto head_ok = [&](const ckpt::Snapshot& s, std::size_t n) {
+    if (s.sections.size() < n + hash_sections) return false;
+    return !owned || (s.sections[n].size() == 2 &&
+                      std::memcmp(s.sections[n].data(), hash_words, sizeof(hash_words)) == 0);
+  };
 
   // Restore decision + application, made once up front on the host so every
   // rank agrees on the cut. Restored chunks land directly in the shared
@@ -455,17 +520,18 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
         };
         switch (s.phase) {
           case ckpt::Phase::kBornAccum:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 0);
-            valid = ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              born_plan.n_chunks, acc_len);
+            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, hash_sections);
+            valid = head_ok(s, 0) && ledger_ok(ledgers[static_cast<std::size_t>(rr)],
+                                               born_plan.n_chunks, acc_len);
             break;
           case ckpt::Phase::kPush:
-            valid = s.sections.size() == 1 && s.sections[0].size() == acc_len &&
-                    s.cursor == 0;
+            valid = s.sections.size() == 1 + hash_sections && head_ok(s, 1) &&
+                    s.sections[0].size() == acc_len && s.cursor == 0;
             break;
           case ckpt::Phase::kEpol:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 1);
-            valid = !s.sections.empty() && s.sections[0].size() == n_atoms &&
+            ledgers[static_cast<std::size_t>(rr)] =
+                ckpt::read_chunk_ledger(s, 1 + hash_sections);
+            valid = head_ok(s, 1) && s.sections[0].size() == n_atoms &&
                     ledger_ok(ledgers[static_cast<std::size_t>(rr)],
                               epol_plan.n_chunks, 2);
             break;
@@ -523,9 +589,21 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
 
   const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
     const int r = comm.rank();
+    // The Born partials exist only when this run executed the Born phase.
     const bool skip_to_push = resume && resume_phase >= ckpt::Phase::kPush;
     const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
     int writer = 0;  // lowest surviving rank; publishes the shared answer
+    // Dead ranks as of the most recent aborted collective (ascending). The
+    // owned view's p2p stages between collectives consult it: deads can't
+    // send.
+    std::vector<int> dead_set;
+
+    // The atoms this rank pushes: all of them, or its owned slice.
+    const Segment pushed = owned ? ownership.ranks[static_cast<std::size_t>(r)].atoms
+                                 : Segment{0, n_atoms};
+    if (owned)
+      obs::emit(obs::EventKind::kHaloPlan, pushed.count(),
+                halo.ranks[static_cast<std::size_t>(r)].born_halo_atoms);
 
     // Hot-array integrity plumbing: injection fires once per scheduled
     // (rank, phase, chunk) even if the chunk is recomputed afterwards.
@@ -577,7 +655,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
           snap.phase = phase;
           snap.cursor = ids.size();
           snap.job_key = job_key;
-          snap.sections = std::move(head);
+          snap.sections = with_hashes(std::move(head));
           if (phase != ckpt::Phase::kPush) {  // kPush carries only the accumulator
             std::vector<std::vector<double>> partials;
             partials.reserve(ids.size());
@@ -619,19 +697,6 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
 
     RankWorkers workers(p);
 
-    // Runs `ids` in waves of at most p chunks; published(c) follows on the
-    // rank thread for each chunk, in list order, after its wave.
-    const auto in_waves = [&](const std::vector<std::uint32_t>& ids, const ChunkPlan& plan,
-                              obs::PhaseId phase, const auto& body,
-                              const auto& published) {
-      for (std::size_t i = 0; i < ids.size(); i += workers.width()) {
-        const std::span<const std::uint32_t> wave(
-            ids.data() + i, std::min(workers.width(), ids.size() - i));
-        workers.run_wave(comm, wave, plan, phase, body);
-        for (const std::uint32_t c : wave) published(c);
-      }
-    };
-
     // This rank's planned order for one phase, in waves: planned steals fire
     // before their slots, restored chunks are skipped, due snapshots commit
     // after each chunk is published, and the kill poll follows every wave —
@@ -669,20 +734,48 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     // detected hot-array corruption, recovered by recomputing the chunk
     // fresh-from-zero (exact, by the canonical-fold construction).
     const auto verify = [&](const std::vector<std::uint32_t>& ids, const ChunkPlan& plan,
-                            obs::PhaseId phase, const auto& body, const auto& publish,
-                            const auto& slot_crc, const std::vector<std::uint32_t>& crcs) {
+                            obs::PhaseId phase, const auto& prepare, const auto& body,
+                            const auto& publish, const auto& slot_crc,
+                            const std::vector<std::uint32_t>& crcs) {
       if (corr.empty() || !comm.integrity_guards()) return;
       for (const std::uint32_t c : ids) {
         const auto [crc, bytes] = slot_crc(c);
         if (crc == crcs[c]) continue;
         comm.note_corruption_detected();
         obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
+        prepare(c);
         workers.run_wave(comm, {&c, 1}, plan, phase, body);
         publish(c, /*recompute=*/true);
         comm.note_corruption_recomputed();
         obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
       }
     };
+
+    // Runs one fault-tolerant collective to completion: attempt(pubs) issues
+    // it; after each abort every survivor agrees on the new writer (the
+    // lowest live rank) and runs recover(live, dead), then the writer
+    // republishes each dead rank d's contribution as proxy(d).
+    const auto until_ok = [&](const auto& attempt, const auto& recover, const auto& proxy) {
+      std::vector<int> proxied;
+      std::vector<std::vector<double>> proxy_vals;
+      for (;;) {
+        std::vector<mpisim::ProxyPub> pubs;
+        pubs.reserve(proxied.size());
+        for (std::size_t i = 0; i < proxied.size(); ++i)
+          pubs.push_back({proxied[i], proxy_vals[i].data()});
+        const mpisim::CollectiveStatus st = attempt(std::span<const mpisim::ProxyPub>(pubs));
+        if (st.ok()) return;
+        if (comm.kill_requested()) comm.abandon();
+        dead_set = st.dead;
+        const std::vector<int> live = live_ranks(P, st.dead);
+        writer = live.front();
+        recover(live, st.dead);
+        proxied = r == writer ? st.dead : std::vector<int>{};
+        proxy_vals.clear();
+        for (const int d : proxied) proxy_vals.push_back(proxy(d));
+      }
+    };
+    const auto no_recovery = [](const std::vector<int>&, const std::vector<int>&) {};
 
     // Phase sync: a 1-double token allreduce. An abort is the recovery
     // point: survivors stripe the dead executors' chunks (a plan-derived
@@ -694,39 +787,39 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     // verify before the collective succeeds and any rank starts folding.
     const auto sync = [&](const ChunkPlan& plan, const std::vector<int>& executor,
                           const ChunkLedger& ledger, obs::PhaseId phase,
-                          const auto& body, const auto& publish, const auto& check,
-                          std::vector<std::uint32_t>& ids, const auto& save) {
+                          const auto& prepare, const auto& body, const auto& publish,
+                          const auto& check, std::vector<std::uint32_t>& ids,
+                          const auto& save) {
       double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;  // dead ranks this rank republishes for
-      for (;;) {
-        check(ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const auto parts = static_cast<std::size_t>(live.size());
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), executor[c]))
-            orphans.push_back(c);
-        std::vector<std::uint32_t> mine;
-        for (std::size_t i = static_cast<std::size_t>(index_of(live, r)); i < orphans.size();
-             i += parts)
-          if (!ledger.done(orphans[i])) mine.push_back(orphans[i]);
-        in_waves(mine, plan, phase, body, [&](std::uint32_t c) {
-          publish(c, /*recompute=*/false);
-          ids.push_back(c);
-          comm.add_redistributed_work(plan.chunk_range(c).count());
-        });
-        if (policy.enabled() && !mine.empty()) save();
-        // The lowest survivor republishes a zero token for every dead rank.
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) {
+            check(ids);
+            return comm.allreduce_sum_ft(token, pubs);
+          },
+          [&](const std::vector<int>& live, const std::vector<int>& dead) {
+            std::vector<std::uint32_t> orphans;
+            for (std::uint32_t c = 0; c < plan.n_chunks; ++c)
+              if (std::binary_search(dead.begin(), dead.end(), executor[c]))
+                orphans.push_back(c);
+            std::vector<std::uint32_t> mine;
+            for (std::size_t i = static_cast<std::size_t>(index_of(live, r));
+                 i < orphans.size(); i += live.size())
+              if (!ledger.done(orphans[i])) mine.push_back(orphans[i]);
+            // In waves of at most p; prepare(c) runs on the rank thread first.
+            for (std::size_t i = 0; i < mine.size(); i += workers.width()) {
+              const std::span<const std::uint32_t> wave(
+                  mine.data() + i, std::min(workers.width(), mine.size() - i));
+              for (const std::uint32_t c : wave) prepare(c);
+              workers.run_wave(comm, wave, plan, phase, body);
+              for (const std::uint32_t c : wave) {
+                publish(c, /*recompute=*/false);
+                ids.push_back(c);
+                comm.add_redistributed_work(plan.chunk_range(c).count());
+              }
+            }
+            if (policy.enabled() && !mine.empty()) save();
+          },
+          [](int) { return std::vector<double>{0.0}; });
     };
 
     // ---- Born accumulation over this rank's planned chunk order. A chunk's
@@ -736,7 +829,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     // `recompute` marks an integrity recompute: no migration accounting, and
     // the seal records the clean CRC (the fired flag stops a second
     // injection).
-    const auto born_partial = [&](std::uint32_t c) {
+    const auto fresh_born = [&](std::uint32_t c) {
       const Segment seg = born_plan.chunk_range(c);
       BornAccumulator scratch = born_solver.make_accumulator();
       if (params.traversal == TraversalMode::kList) {
@@ -745,6 +838,10 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       } else {
         born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
       }
+      return scratch;
+    };
+    const auto born_partial = [&](std::uint32_t c) {
+      const BornAccumulator scratch = fresh_born(c);
       born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
       born_touched[c] = touched_blocks(scratch.flat());
     };
@@ -753,8 +850,10 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
       born_ledger.mark_done(c, r);
     };
+    const auto no_prepare = [](std::uint32_t) {};
     const auto check_born = [&](const std::vector<std::uint32_t>& ids) {
-      verify(ids, born_plan, obs::PhaseId::kBornAccum, born_partial, publish_born,
+      verify(ids, born_plan, obs::PhaseId::kBornAccum, no_prepare, born_partial,
+             publish_born,
              [&](std::uint32_t c) {
                const std::size_t bytes = born_partials[c].size() * sizeof(double);
                return std::pair{support::crc32(born_partials[c].data(), bytes), bytes};
@@ -776,57 +875,206 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     }
     obs::phase_begin(obs::PhaseId::kBornReduce);
     if (!skip_to_push)
-      sync(born_plan, born_executor, born_ledger, obs::PhaseId::kBornAccum, born_partial,
-           publish_born, check_born, my_born_ids, save_born);
+      sync(born_plan, born_executor, born_ledger, obs::PhaseId::kBornAccum, no_prepare,
+           born_partial, publish_born, check_born, my_born_ids, save_born);
 
-    // ---- Canonical fold + replicated push. Every rank folds the identical
-    // partials in ascending chunk order, so every rank holds the identical
-    // accumulator and Born radii — no gather collective is needed; the data
-    // motion (each rank reading every chunk partial) is charged as one
-    // modeled allgatherv of the touched blocks. Each element's fold is
-    // independent of the others, so the rank's workers split the blocks
-    // without changing a bit.
+    // ---- Canonical fold. Every rank folds the identical partials in
+    // ascending chunk order; each element's fold is independent of the
+    // others, so the rank's workers split the elements without changing a
+    // bit. Replicated: every rank folds everything and holds the identical
+    // accumulator — no gather collective is needed; the data motion (each
+    // rank reading every chunk's touched blocks) is charged as one modeled
+    // allgatherv. Owned: only the slice serving the owned atoms (their
+    // subtree path + own slots), so the charged motion shrinks to
+    // n_chunks x |slice|.
     obs::phase_begin(obs::PhaseId::kBornGather);
+    // Adds blocks [blo, bhi) of every chunk's touched blocks into `flat`.
+    const auto fold_blocks = [&](std::span<double> flat, std::uint32_t blo,
+                                 std::uint32_t bhi) {
+      for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
+        const ArenaVector<double>& partial = born_partials[c];
+        const std::vector<std::uint32_t>& t = born_touched[c];
+        for (auto b = std::lower_bound(t.begin(), t.end(), blo); b != t.end() && *b < bhi;
+             ++b) {
+          const std::size_t hi = std::min(acc_len, (*b + 1) * kFoldBlock);
+          for (std::size_t j = *b * kFoldBlock; j < hi; ++j) flat[j] += partial[j];
+        }
+      }
+    };
     BornAccumulator acc = born_solver.make_accumulator();
+    const std::span<double> flat = acc.flat();
     if (skip_to_push && !skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                acc.flat().begin());
+      std::copy(snap.sections[0].begin(), snap.sections[0].end(), flat.begin());
+    } else if (!skip_to_epol && owned) {
+      const std::vector<std::uint32_t> slice = acc_fold_slice(prep.atoms_tree, pushed);
+      comm.charge_collective(obs::CollKind::kAllgatherv,
+                             static_cast<std::size_t>(born_plan.n_chunks) *
+                                 slice.size() * sizeof(double));
+      workers.run_range(comm, static_cast<std::uint32_t>(slice.size()),
+                        [&](std::uint32_t lo, std::uint32_t hi) {
+                          for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
+                            const ArenaVector<double>& partial = born_partials[c];
+                            for (std::uint32_t i = lo; i < hi; ++i)
+                              flat[slice[i]] += partial[slice[i]];
+                          }
+                        });
     } else if (!skip_to_epol) {
       std::size_t blocks = 0;
       for (const std::vector<std::uint32_t>& t : born_touched) blocks += t.size();
       comm.charge_collective(obs::CollKind::kAllgatherv,
                              blocks * kFoldBlock * sizeof(double));
-      const std::span<double> flat = acc.flat();
-      const auto n_blocks = static_cast<std::uint32_t>((acc_len + kFoldBlock - 1) / kFoldBlock);
       workers.run_range(comm, n_blocks, [&](std::uint32_t blo, std::uint32_t bhi) {
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-          const ArenaVector<double>& partial = born_partials[c];
-          const std::vector<std::uint32_t>& t = born_touched[c];
-          for (auto b = std::lower_bound(t.begin(), t.end(), blo); b != t.end() && *b < bhi;
-               ++b) {
-            const std::size_t hi = std::min(acc_len, (*b + 1) * kFoldBlock);
-            for (std::size_t j = *b * kFoldBlock; j < hi; ++j) flat[j] += partial[j];
-          }
-        }
+        fold_blocks(flat, blo, bhi);
       });
     }
     if (!skip_to_epol && policy.enabled() && boundary_due())
-      save_ledger_snapshot(
-          ckpt::Phase::kPush, {},
-          {std::vector<double>(acc.flat().begin(), acc.flat().end())});
+      save_ledger_snapshot(ckpt::Phase::kPush, {},
+                           {std::vector<double>(flat.begin(), flat.end())});
 
+    // ---- Push. The owned view pushes its own atoms only; everything else
+    // stays NaN, so an under-imported halo read poisons the energy instead of
+    // silently reading zeros — the 0-ulp equivalence tests lean on this.
     obs::phase_begin(obs::PhaseId::kPush);
-    std::vector<double> born(prep.num_atoms(), 0.0);
+    std::vector<double> born(prep.num_atoms(),
+                             owned ? std::numeric_limits<double>::quiet_NaN() : 0.0);
     if (skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
       std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
     } else {
-      traced_chunk(0, n_atoms, obs::PhaseId::kPush, [&] {
-        workers.run_range(comm, n_atoms, [&](std::uint32_t lo, std::uint32_t hi) {
-          born_solver.push_to_atoms(acc, lo, hi, born);
+      traced_chunk(pushed.lo, pushed.hi, obs::PhaseId::kPush, [&] {
+        workers.run_range(comm, pushed.count(), [&](std::uint32_t lo, std::uint32_t hi) {
+          born_solver.push_to_atoms(acc, pushed.lo + lo, pushed.lo + hi, born);
         });
       });
+    }
+
+    // Owned-view Born reconstruction for reads outside the halo: fold
+    // EVERYTHING (lazily, once) and assign-push just [lo, hi). Exact because
+    // the full fold agrees with the sliced fold per element and
+    // push_to_atoms assigns (never accumulates). A resumed run that skipped
+    // the Born phase has no chunk partials, so the fold recomputes every
+    // chunk fresh-from-zero in ascending order — same canonical bits, O(N)
+    // but degraded-only. Runs on the rank thread in its own compute region:
+    // call sites must sit OUTSIDE any ComputeRegion.
+    std::unique_ptr<BornAccumulator> recovery_acc;
+    const auto reconstruct_born = [&](std::uint32_t lo, std::uint32_t hi) {
+      mpisim::Comm::ComputeRegion region(comm);
+      if (!recovery_acc) {
+        recovery_acc = std::make_unique<BornAccumulator>(born_solver.make_accumulator());
+        const std::span<double> all = recovery_acc->flat();
+        if (!skip_to_push) {
+          fold_blocks(all, 0, n_blocks);
+        } else {
+          for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
+            const BornAccumulator part = fresh_born(c);
+            for (std::size_t j = 0; j < all.size(); ++j) all[j] += part.flat()[j];
+          }
+        }
+      }
+      born_solver.push_to_atoms(*recovery_acc, lo, hi, born);
+      comm.add_redistributed_work(hi - lo);
+    };
+
+    // ---- Owned view: the far-field state every rank must agree on. The
+    // point-level Born halo exchange (p2p window: death-free), then the
+    // collective (r_min, r_max): each rank publishes {min, -max} over its
+    // owned slice; allreduce_min of exact comparisons is order-free, so the
+    // agreed extrema are bit-identical to a replicated minmax scan. Then the
+    // bin-level halo: allgatherv of owned leaf bin rows (THE far-field
+    // exchange), scattered into the node store with the internal rows
+    // re-folded locally. leaf_bins/fold_internal_bins are the replicated
+    // constructor's own loops, so the store matches it bit-for-bit. The
+    // writer proxies dead ranks from their reconstructed slices.
+    EpolFarField field;
+    std::vector<double> node_bins;
+    if (owned) {
+      obs::phase_begin(obs::PhaseId::kBornGather);
+      if (!skip_to_epol)
+        exchange_born_halo(comm, prep, ownership, halo, dead_set, born, reconstruct_born);
+
+      const auto span_of = [&](int d) -> const OwnershipMap::RankSpan& {
+        return ownership.ranks[static_cast<std::size_t>(d)];
+      };
+      // The writer's stand-in for dead rank d starts from its rebuilt radii.
+      const auto reconstruct_rank = [&](int d) {
+        const Segment ds = span_of(d).atoms;
+        if (ds.count() > 0) reconstruct_born(ds.lo, ds.hi);
+      };
+      // {min, -max} over rank d's owned radii.
+      const auto extrema = [&](int d) {
+        const Segment atoms = span_of(d).atoms;
+        mpisim::Comm::ComputeRegion region(comm);
+        std::vector<double> mm = {std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::infinity()};
+        for (std::uint32_t a = atoms.lo; a < atoms.hi; ++a) {
+          mm[0] = std::min(mm[0], born[a]);
+          mm[1] = std::min(mm[1], -born[a]);
+        }
+        return mm;
+      };
+      std::vector<double> mm;
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) {
+            mm = extrema(r);
+            return comm.allreduce_min_ft(mm, pubs);
+          },
+          no_recovery,
+          [&](int d) {
+            reconstruct_rank(d);
+            return extrema(d);
+          });
+      field = EpolFarField::make(n_atoms > 0 ? mm[0] : 1.0, n_atoms > 0 ? -mm[1] : 1.0,
+                                 params.eps_epol);
+
+      const auto m_bins = static_cast<std::size_t>(field.m_bins);
+      const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
+      std::vector<int> row_counts(static_cast<std::size_t>(P), 0);
+      std::vector<int> row_displs(static_cast<std::size_t>(P), 0);
+      int row_total = 0;
+      for (int rk = 0; rk < P; ++rk) {
+        const auto k = static_cast<std::size_t>(rk);
+        row_counts[k] = static_cast<int>(span_of(rk).atom_leaves.count() * m_bins);
+        row_displs[k] = row_total;
+        row_total += row_counts[k];
+      }
+      // Leaf bin rows of rank d's owned leaves (at least one double, so an
+      // empty contribution still has an address).
+      const auto leaf_rows = [&](int d) {
+        const Segment leaves = span_of(d).atom_leaves;
+        mpisim::Comm::ComputeRegion region(comm);
+        std::vector<double> rows(std::max<std::size_t>(leaves.count() * m_bins, 1), 0.0);
+        for (std::uint32_t l = leaves.lo; l < leaves.hi; ++l) {
+          const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
+          EpolSolver::leaf_bins(prep, born, field, leaf.begin, leaf.end,
+                                rows.data() + (l - leaves.lo) * m_bins);
+        }
+        return rows;
+      };
+      const std::vector<double> my_rows = leaf_rows(r);
+      const std::span<const double> my_send(
+          my_rows.data(), static_cast<std::size_t>(row_counts[static_cast<std::size_t>(r)]));
+      std::vector<double> gathered(static_cast<std::size_t>(std::max(row_total, 1)), 0.0);
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) {
+            return comm.allgatherv_ft<double>(my_send, gathered, row_counts, row_displs,
+                                              pubs);
+          },
+          no_recovery,
+          [&](int d) {
+            reconstruct_rank(d);
+            return leaf_rows(d);
+          });
+      mpisim::Comm::ComputeRegion region(comm);
+      node_bins.assign(prep.atoms_tree.nodes().size() * m_bins, 0.0);
+      for (int rk = 0; rk < P; ++rk) {
+        const Segment ls = span_of(rk).atom_leaves;
+        const double* rows = gathered.data() + row_displs[static_cast<std::size_t>(rk)];
+        for (std::uint32_t l = ls.lo; l < ls.hi; ++l)
+          std::memcpy(node_bins.data() + aleaves[l] * m_bins, rows + (l - ls.lo) * m_bins,
+                      m_bins * sizeof(double));
+      }
+      EpolSolver::fold_internal_bins(prep.atoms_tree, field.m_bins, node_bins);
     }
 
     // ---- E_pol over this rank's planned chunk order (raw far/near sums per
@@ -835,7 +1083,9 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     std::unique_ptr<EpolSolver> epol_solver;
     {
       mpisim::Comm::ComputeRegion region(comm);
-      epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
+      epol_solver = owned ? std::make_unique<EpolSolver>(prep, born, params, constants,
+                                                         field, node_bins)
+                          : std::make_unique<EpolSolver>(prep, born, params, constants);
     }
     const auto epol_partial = [&](std::uint32_t c) {
       const Segment seg = epol_plan.chunk_range(c);
@@ -851,13 +1101,28 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       }
       epol_raws[c] = {raws[0], raws[1]};
     };
+    // Owned view: recovery and integrity recomputes may reach outside the
+    // halo, so their near inputs are reconstructed on the rank thread before
+    // the chunk's wave (a second list build, degraded paths only).
+    const auto prepare_epol = [&](std::uint32_t c) {
+      if (!owned) return;
+      const Segment seg = epol_plan.chunk_range(c);
+      const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
+      for (const InteractionLists::Near& nr : lists.near) {
+        for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
+          const OctreeNode& leaf = prep.atoms_tree.node(node_id);
+          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
+            reconstruct_born(leaf.begin, leaf.end);
+        }
+      }
+    };
     const auto publish_epol = [&](std::uint32_t c, bool recompute) {
       seal_epol(c);
       if (!recompute && plan_epol.initial_rank[c] != r) comm.add_migrated_chunk();
       epol_ledger.mark_done(c, r);
     };
     const auto check_epol = [&](const std::vector<std::uint32_t>& ids) {
-      verify(ids, epol_plan, obs::PhaseId::kEpol, epol_partial, publish_epol,
+      verify(ids, epol_plan, obs::PhaseId::kEpol, prepare_epol, epol_partial, publish_epol,
              [&](std::uint32_t c) {
                const std::size_t bytes = epol_raws[c].size() * sizeof(double);
                return std::pair{support::crc32(epol_raws[c].data(), bytes), bytes};
@@ -874,8 +1139,8 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
               epol_steals[static_cast<std::size_t>(r)], epol_ledger, epol_plan,
               obs::PhaseId::kEpol, epol_partial, publish_epol, my_epol_ids, save_epol);
     obs::phase_begin(obs::PhaseId::kEpolReduce);
-    sync(epol_plan, epol_executor, epol_ledger, obs::PhaseId::kEpol, epol_partial,
-         publish_epol, check_epol, my_epol_ids, save_epol);
+    sync(epol_plan, epol_executor, epol_ledger, obs::PhaseId::kEpol, prepare_epol,
+         epol_partial, publish_epol, check_epol, my_epol_ids, save_epol);
     // Fold the raw sums in ascending chunk order (identical on every rank),
     // finish once, and let the lowest survivor publish.
     comm.charge_collective(obs::CollKind::kAllreduce,
@@ -894,7 +1159,29 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     }
     if (r == writer) {
       energy_shared = energy;
-      std::copy(born.begin(), born.end(), born_shared.begin());
+      std::copy(born.begin() + pushed.lo, born.begin() + pushed.hi,
+                born_shared.begin() + pushed.lo);
+    }
+    // ---- Owned view: the final Born gather. Owned slices stream p2p to
+    // the writer (the post-collective window is death-free, so live sends
+    // always land); dead ranks' slices are reconstructed. This is owned
+    // mode's price for not holding everyone's radii.
+    if (owned && r == writer) {
+      for (int rk = 0; rk < P; ++rk) {
+        const Segment s = ownership.ranks[static_cast<std::size_t>(rk)].atoms;
+        if (rk == r || s.count() == 0) continue;
+        const bool live = !std::binary_search(dead_set.begin(), dead_set.end(), rk);
+        if (live && comm.recv_ft<double>(std::span<double>(born_shared.data() + s.lo,
+                                                           s.count()),
+                                         rk, kTagOwnedBorn)
+                        .ok())
+          continue;
+        reconstruct_born(s.lo, s.hi);
+        std::copy(born.begin() + s.lo, born.begin() + s.hi, born_shared.begin() + s.lo);
+      }
+    } else if (owned && pushed.count() > 0) {
+      comm.send<double>(std::span<const double>(born.data() + pushed.lo, pushed.count()),
+                        writer, kTagOwnedBorn);
     }
     ws_steals += workers.steals;
     ws_tasks += workers.tasks;
@@ -902,7 +1189,6 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   });
 
   result.energy = energy_shared;
-  result.born_sorted = std::move(born_shared);
   result.compute_seconds = report.max_compute_seconds();
   result.comm_seconds = report.max_comm_seconds();
   result.wall_seconds = report.wall_seconds;
@@ -922,862 +1208,25 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       static_cast<std::size_t>(P) *
       (prep.replicated_footprint().bytes + acc_len * sizeof(double) +
        static_cast<std::size_t>(n_atoms) * sizeof(double));
-  result.rank_results = report.ranks;
-  result.steals = ws_steals.load();
-  result.tasks = ws_tasks.load();
-  return result;
-}
-
-// Owned-mode driver (DataDistribution::kOwned): oct_balanced's phase and
-// recovery structure, but each rank holds only its OWNED Morton-contiguous
-// leaf ranges plus a planned HALO instead of replicating the molecule's
-// point payload (core/halo_exchange.hpp). The deltas from oct_balanced:
-//
-//  * Ownership + halo plans are built host-side from the chunk/balance
-//    plans (pure geometry), are identical on every rank, and hash into the
-//    checkpoint job key so a restart provably resumes the same
-//    redistribution.
-//  * The canonical Born fold is SLICED: a rank folds only the accumulator
-//    elements serving its owned atoms. Element order within the slice is
-//    ascending-chunk — per element identical to the full fold — so owned
-//    Born radii match replicated radii to the bit.
-//  * Born radii outside owned + halo stay NaN (under-import poisons the
-//    energy instead of silently reading zeros). The halo plan's near sets
-//    are exchanged p2p after the push; far-field needs are met by an
-//    allgatherv of owned leaf bin rows plus a local internal re-fold, so
-//    the far aggregate store is bit-identical on every rank.
-//  * Recovery reads that fall outside the halo (dead ranks' slices, stolen
-//    recovery chunks) are served by reconstruct_born: a lazy full fold of
-//    the shared chunk partials (or a full recompute on a resumed run) plus
-//    an assign-push of just the needed range — exact by per-element fold
-//    independence, O(N) only on degraded paths.
-RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
-                    const GBConstants& constants, const RunOptions& options) {
-  RunResult result;
-  result.ranks = std::max(1, options.ranks);
-  result.threads_per_rank = 1;
-  const int P = result.ranks;
-
-  const BornSolver born_solver(prep, params);
-  const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
-  const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
-  const std::uint32_t n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-  const std::size_t acc_len = born_solver.make_accumulator().flat().size();
-
-  // Chunk geometry, costs and balance plans: identical to oct_balanced (the
-  // fold canonicalization and snapshot layout rest on the same invariants).
-  const PhasePlans plans = plan_phases(prep, params, born_solver, options, P, P);
-  const ChunkPlan& born_plan = plans.born.chunks;
-  const ChunkPlan& epol_plan = plans.epol.chunks;
-  const BalanceAssignment& plan_born = plans.born.assign;
-  const BalanceAssignment& plan_epol = plans.epol.assign;
-  const auto& born_steals = plans.born.steals;
-  const auto& epol_steals = plans.epol.steals;
-  const std::vector<int>& born_executor = plans.born.executor;
-  const std::vector<int>& epol_executor = plans.epol.executor;
-  result.steal_grants = plan_born.steals.size() + plan_epol.steals.size();
-
-  // Ownership + halo plans: host-side, plan-derived, identical on every
-  // rank. The halo replays the EXECUTOR chunk assignment, so a policy
-  // change (different steals) changes the halo — both hashes go into the
-  // job key and owned snapshots are deliberately NOT policy-portable.
-  const OwnershipMap ownership = make_ownership_map(prep, P, born_plan, epol_plan);
-  const HaloPlan halo = build_halo_plan(prep, params, ownership, plan_born,
-                                        born_plan, plan_epol, epol_plan);
-  const std::uint64_t ownership_hash = ownership.hash();
-  const std::uint64_t halo_hash = halo.hash();
-
-  std::vector<ArenaVector<double>> born_partials(born_plan.n_chunks);
-  std::vector<std::array<double, 2>> epol_raws(epol_plan.n_chunks,
-                                               std::array<double, 2>{0.0, 0.0});
-  ChunkLedger born_ledger(born_plan.n_chunks);
-  ChunkLedger epol_ledger(epol_plan.n_chunks);
-  std::vector<double> born_shared(prep.num_atoms(), 0.0);
-  double energy_shared = 0.0;
-
-  // Integrity epoch guards over the shared hot arrays (see oct_balanced):
-  // executor-sealed CRCs, re-verified before each phase's token allreduce.
-  std::vector<std::uint32_t> born_crcs(
-      options.corruption.empty() ? 0 : born_plan.n_chunks, 0u);
-  std::vector<std::uint32_t> epol_crcs(
-      options.corruption.empty() ? 0 : epol_plan.n_chunks, 0u);
-
-  const ckpt::CheckpointPolicy& policy = options.checkpoint;
-  const std::uint64_t job_key = ckpt::fnv1a64(
-      {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-       static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
-       born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
-       epol_plan.chunk_items, 0x04EDull, ownership_hash, halo_hash,
-       integrity_job_word(options.integrity_guards), policy.job_salt});
-  const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
-                                  P, job_key);
-
-  // Every owned snapshot's head carries the ownership + halo hashes as a
-  // 2-double section; a restore whose plans would redistribute differently
-  // is rejected (belt to the job key's suspenders — the key already covers
-  // both hashes, this keeps a truncated/corrupt section from slipping by).
-  const auto hash_section = [&] {
-    std::vector<double> sec(2);
-    std::memcpy(&sec[0], &ownership_hash, sizeof(double));
-    std::memcpy(&sec[1], &halo_hash, sizeof(double));
-    return sec;
-  };
-  const auto hash_section_ok = [&](const std::vector<double>& sec) {
-    if (sec.size() != 2) return false;
-    std::uint64_t oh = 0, hh = 0;
-    std::memcpy(&oh, &sec[0], sizeof(double));
-    std::memcpy(&hh, &sec[1], sizeof(double));
-    return oh == ownership_hash && hh == halo_hash;
-  };
-
-  std::vector<std::vector<std::uint32_t>> restored_born_ids(
-      static_cast<std::size_t>(P));
-  std::vector<std::vector<std::uint32_t>> restored_epol_ids(
-      static_cast<std::size_t>(P));
-  std::vector<ckpt::Snapshot> restored;
-  bool resume = false;
-  if (policy.enabled() && policy.resume) {
-    if (auto set = store.load_latest()) {
-      bool valid = true;
-      std::vector<ckpt::ChunkLedgerSections> ledgers(static_cast<std::size_t>(P));
-      for (int rr = 0; rr < P && valid; ++rr) {
-        const ckpt::Snapshot& s = (*set)[static_cast<std::size_t>(rr)];
-        const auto ledger_ok = [&](const ckpt::ChunkLedgerSections& led,
-                                   std::uint32_t n_chunks, std::size_t partial_len) {
-          if (!led.ok || s.cursor != led.ids.size()) return false;
-          for (const std::uint32_t id : led.ids)
-            if (id >= n_chunks) return false;
-          for (const std::vector<double>& p : led.partials)
-            if (p.size() != partial_len) return false;
-          return true;
-        };
-        switch (s.phase) {
-          case ckpt::Phase::kBornAccum:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 1);
-            valid = !s.sections.empty() && hash_section_ok(s.sections[0]) &&
-                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              born_plan.n_chunks, acc_len);
-            break;
-          case ckpt::Phase::kPush:
-            valid = s.sections.size() == 2 && s.sections[0].size() == acc_len &&
-                    hash_section_ok(s.sections[1]) && s.cursor == 0;
-            break;
-          case ckpt::Phase::kEpol:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 2);
-            valid = s.sections.size() >= 2 && s.sections[0].size() == n_atoms &&
-                    hash_section_ok(s.sections[1]) &&
-                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              epol_plan.n_chunks, 2);
-            break;
-        }
-      }
-      if (valid) {
-        restored = std::move(*set);
-        resume = true;
-        for (int rr = 0; rr < P; ++rr) {
-          const ckpt::Snapshot& s = restored[static_cast<std::size_t>(rr)];
-          ckpt::ChunkLedgerSections& led = ledgers[static_cast<std::size_t>(rr)];
-          if (s.phase == ckpt::Phase::kBornAccum) {
-            for (std::size_t i = 0; i < led.ids.size(); ++i) {
-              born_partials[led.ids[i]].assign(led.partials[i].begin(),
-                                               led.partials[i].end());
-              born_ledger.mark_done(led.ids[i], rr);
-            }
-            restored_born_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
-          } else if (s.phase == ckpt::Phase::kEpol) {
-            for (std::size_t i = 0; i < led.ids.size(); ++i) {
-              epol_raws[led.ids[i]] = {led.partials[i][0], led.partials[i][1]};
-              epol_ledger.mark_done(led.ids[i], rr);
-            }
-            restored_epol_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
-          }
-        }
-      }
-    }
-  }
-  const ckpt::Phase resume_phase = resume ? restored[0].phase : ckpt::Phase::kBornAccum;
-
-  // Seal restored chunks' CRCs host-side so the phase-boundary verification
-  // treats them as clean (they passed the snapshot CRC on the way in).
-  if (!options.corruption.empty()) {
-    for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
-      if (born_ledger.done(c))
-        born_crcs[c] = support::crc32(born_partials[c].data(),
-                                      born_partials[c].size() * sizeof(double));
-    for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
-      if (epol_ledger.done(c))
-        epol_crcs[c] =
-            support::crc32(epol_raws[c].data(), epol_raws[c].size() * sizeof(double));
-  }
-
-  mpisim::Runtime::Config rt;
-  rt.ranks = P;
-  rt.threads_per_rank = 1;
-  rt.cluster = options.cluster;
-  rt.faults = options.faults;
-  rt.kill = options.kill;
-  rt.stall_timeout_seconds = options.stall_timeout_seconds;
-  rt.corruption = options.corruption;
-  rt.integrity_guards = options.integrity_guards;
-
-  const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
-    const int r = comm.rank();
-    const bool skip_to_push = resume && resume_phase >= ckpt::Phase::kPush;
-    const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
-    int writer = 0;
-
-    const OwnershipMap::RankSpan& own = ownership.ranks[static_cast<std::size_t>(r)];
-    const HaloPlan::RankHalo& my_halo = halo.ranks[static_cast<std::size_t>(r)];
-    const std::vector<std::uint32_t> fold_slice =
-        acc_fold_slice(prep.atoms_tree, own.atoms);
-    // Dead ranks as of the most recent aborted collective (ascending).
-    // p2p stages between collectives consult it: deads can't send.
-    std::vector<int> dead_set;
-    obs::emit(obs::EventKind::kHaloPlan, own.atoms.count(),
-              my_halo.born_halo_atoms);
-
-    // Hot-array integrity plumbing (same protocol as oct_balanced): the
-    // executor seals the PRISTINE CRC, then applies any scheduled flip once.
-    const mpisim::CorruptionSchedule& corr = comm.corruption_schedule();
-    std::vector<char> born_fired(corr.empty() ? 0 : born_plan.n_chunks, 0);
-    std::vector<char> epol_fired(corr.empty() ? 0 : epol_plan.n_chunks, 0);
-    const auto seal_born = [&](std::uint32_t c) {
-      if (corr.empty()) return;
-      const std::size_t bytes = born_partials[c].size() * sizeof(double);
-      born_crcs[c] = support::crc32(born_partials[c].data(), bytes);
-      std::uint64_t bit = 0;
-      if (born_fired[c] == 0 &&
-          corr.hot_array_bit(r, mpisim::CorruptionPlan::kBornPartials, c, &bit)) {
-        born_fired[c] = 1;
-        support::flip_bit(born_partials[c].data(), bytes, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
-      }
-    };
-    const auto seal_epol = [&](std::uint32_t c) {
-      if (corr.empty()) return;
-      const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-      epol_crcs[c] = support::crc32(epol_raws[c].data(), bytes);
-      std::uint64_t bit = 0;
-      if (epol_fired[c] == 0 &&
-          corr.hot_array_bit(r, mpisim::CorruptionPlan::kEpolPartials, c, &bit)) {
-        epol_fired[c] = 1;
-        support::flip_bit(epol_raws[c].data(), bytes, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
-      }
-    };
-
-    std::uint32_t phase_boundaries = 0;
-    std::uint64_t snapshot_ordinal = 0;  // per-rank save order, for injection
-    const auto boundary_due = [&] {
-      const bool due = policy.every_n_collectives > 0 &&
-                       phase_boundaries % policy.every_n_collectives == 0;
-      ++phase_boundaries;
-      return due;
-    };
-    const auto save_ledger_snapshot =
-        [&](ckpt::Phase phase, const std::vector<std::uint32_t>& ids,
-            std::vector<std::vector<double>> head) {
-          ckpt::Snapshot snap;
-          snap.rank = static_cast<std::uint32_t>(r);
-          snap.ranks = static_cast<std::uint32_t>(P);
-          snap.phase = phase;
-          snap.cursor = ids.size();
-          snap.job_key = job_key;
-          snap.sections = std::move(head);
-          if (phase != ckpt::Phase::kPush) {
-            std::vector<std::vector<double>> partials;
-            partials.reserve(ids.size());
-            for (const std::uint32_t id : ids) {
-              if (phase == ckpt::Phase::kBornAccum)
-                partials.emplace_back(born_partials[id].begin(),
-                                      born_partials[id].end());
-              else
-                partials.push_back({epol_raws[id][0], epol_raws[id][1]});
-            }
-            ckpt::append_chunk_ledger(snap, ids, partials);
-          }
-          const std::string path = store.save(snap);
-          std::uint64_t snap_bit = 0;
-          if (!path.empty() &&
-              comm.corruption_schedule().snapshot_bit(r, snapshot_ordinal,
-                                                      &snap_bit)) {
-            corrupt_snapshot_file(path, snap_bit);
-            comm.note_corruption_injected();
-            obs::emit(obs::EventKind::kCorruptionInject, snapshot_ordinal, 0,
-                      /*site=*/3);
-          }
-          ++snapshot_ordinal;
-        };
-
-    const auto fire_steals = [&](const std::vector<StealEvent>& evs,
-                                 std::size_t& next, std::size_t i,
-                                 std::size_t order_size) {
-      while (next < evs.size() && evs[next].after_processed == i) {
-        const StealEvent& ev = evs[next];
-        comm.steal_rpc(ev.victim, static_cast<std::uint64_t>(order_size - i),
-                       ev.granted, 16, static_cast<std::size_t>(ev.granted) * 16);
-        ++next;
-      }
-    };
-
-    const auto compute_born_chunk = [&](std::uint32_t c, bool recompute = false) {
-      const Segment seg = born_plan.chunk_range(c);
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kBornAccum, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        BornAccumulator scratch = born_solver.make_accumulator();
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-          born_solver.accumulate_lists(lists, scratch);
-        } else {
-          born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
-        }
-        born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
-      });
-      seal_born(c);
-      if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
-      born_ledger.mark_done(c, r);
-    };
-
-    const auto verify_born = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = born_partials[c].size() * sizeof(double);
-        if (support::crc32(born_partials[c].data(), bytes) == born_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        compute_born_chunk(c, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
-    };
-
-    // ---- Born accumulation (same chunk protocol as oct_balanced).
-    obs::phase_begin(obs::PhaseId::kBornAccum);
-    std::vector<std::uint32_t> my_born_ids = restored_born_ids[static_cast<std::size_t>(r)];
-    if (!skip_to_push) {
-      const std::vector<std::uint32_t>& order = plan_born.order[static_cast<std::size_t>(r)];
-      if (policy.enabled())
-        save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {hash_section()});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!born_ledger.done(c)) {
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids,
-                                 {hash_section()});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
-
-    // ---- Born sync + striped recovery (identical to oct_balanced).
-    obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (!skip_to_push) {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;
-      for (;;) {
-        // Integrity gate: re-verify every published chunk (including any
-        // death-recovery recomputes from a prior iteration) before the
-        // collective succeeds and the sliced fold begins.
-        verify_born(my_born_ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), born_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (born_ledger.done(c)) continue;
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          comm.add_redistributed_work(born_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids,
-                               {hash_section()});
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
-    }
-
-    // ---- SLICED canonical fold: only the accumulator elements serving the
-    // owned atoms (their subtree path + own slots). Ascending chunk order
-    // per element — bit-identical to the full fold, element by element —
-    // and the charged data motion shrinks from n_chunks * acc_len to
-    // n_chunks * |slice|.
-    BornAccumulator acc = born_solver.make_accumulator();
-    if (skip_to_push && !skip_to_epol) {
-      const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                acc.flat().begin());
-    } else if (!skip_to_epol) {
-      comm.charge_collective(obs::CollKind::kAllgatherv,
-                             static_cast<std::size_t>(born_plan.n_chunks) *
-                                 fold_slice.size() * sizeof(double));
-      mpisim::Comm::ComputeRegion region(comm);
-      const std::span<double> flat = acc.flat();
-      for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-        const ArenaVector<double>& partial = born_partials[c];
-        for (const std::uint32_t idx : fold_slice) flat[idx] += partial[idx];
-      }
-    }
-    if (!skip_to_epol && policy.enabled() && boundary_due())
-      save_ledger_snapshot(
-          ckpt::Phase::kPush, {},
-          {std::vector<double>(acc.flat().begin(), acc.flat().end()),
-           hash_section()});
-
-    // ---- Push owned atoms only. Everything else stays NaN: an
-    // under-imported halo read poisons the energy instead of silently
-    // reading zeros — the 0-ulp equivalence tests lean on this.
-    obs::phase_begin(obs::PhaseId::kPush);
-    std::vector<double> born(prep.num_atoms(),
-                             std::numeric_limits<double>::quiet_NaN());
-    if (skip_to_epol) {
-      const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
-    } else {
-      traced_chunk(own.atoms.lo, own.atoms.hi, obs::PhaseId::kPush, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        born_solver.push_to_atoms(acc, own.atoms.lo, own.atoms.hi, born);
-      });
-    }
-
-    // Degraded-path Born reconstruction: fold EVERYTHING (lazily, once) and
-    // assign-push just [lo, hi). Exact because the full fold agrees with the
-    // sliced fold per element and push_to_atoms assigns (never accumulates).
-    // On a resumed run the chunk partials are gone with the earlier phases,
-    // so the fold recomputes every chunk fresh-from-zero in ascending order
-    // — same canonical bits, O(N) but degraded-only. Opens its own compute
-    // region: call sites must sit OUTSIDE any ComputeRegion.
-    std::unique_ptr<BornAccumulator> recovery_acc;
-    const auto reconstruct_born = [&](std::uint32_t lo, std::uint32_t hi) {
-      mpisim::Comm::ComputeRegion region(comm);
-      if (!recovery_acc) {
-        recovery_acc =
-            std::make_unique<BornAccumulator>(born_solver.make_accumulator());
-        const std::span<double> flat = recovery_acc->flat();
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-          if (skip_to_epol) {
-            const Segment seg = born_plan.chunk_range(c);
-            BornAccumulator scratch = born_solver.make_accumulator();
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists =
-                  born_solver.build_lists(seg.lo, seg.hi);
-              born_solver.accumulate_lists(lists, scratch);
-            } else {
-              born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
-            }
-            const std::span<const double> part = scratch.flat();
-            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += part[j];
-          } else {
-            const ArenaVector<double>& partial = born_partials[c];
-            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
-          }
-        }
-      }
-      born_solver.push_to_atoms(*recovery_acc, lo, hi, born);
-      comm.add_redistributed_work(hi - lo);
-    };
-
-    // ---- Point-level Born halo exchange (p2p window: death-free).
-    obs::phase_begin(obs::PhaseId::kBornGather);
-    if (!skip_to_epol)
-      exchange_born_halo(comm, prep, ownership, halo, dead_set, born,
-                         reconstruct_born);
-
-    // ---- Collective (r_min, r_max): each rank publishes {min, -max} over
-    // its owned slice; allreduce_min of exact comparisons is order-free, so
-    // the agreed extrema are bit-identical to a replicated minmax scan. The
-    // writer proxies dead ranks with extrema over their reconstructed
-    // slices.
-    double mm[2] = {std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity()};
-    {
-      std::vector<int> proxied;
-      std::vector<std::array<double, 2>> proxy_vals;
-      for (;;) {
-        {
-          mpisim::Comm::ComputeRegion region(comm);
-          mm[0] = std::numeric_limits<double>::infinity();
-          mm[1] = std::numeric_limits<double>::infinity();
-          for (std::uint32_t a = own.atoms.lo; a < own.atoms.hi; ++a) {
-            mm[0] = std::min(mm[0], born[a]);
-            mm[1] = std::min(mm[1], -born[a]);
-          }
-        }
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (std::size_t i = 0; i < proxied.size(); ++i)
-          pubs.push_back({proxied[i], proxy_vals[i].data()});
-        const mpisim::CollectiveStatus st = comm.allreduce_min_ft(mm, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        proxied.clear();
-        proxy_vals.clear();
-        if (r == writer) {
-          proxied = st.dead;
-          proxy_vals.resize(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i) {
-            const Segment ds = ownership.ranks[static_cast<std::size_t>(proxied[i])].atoms;
-            proxy_vals[i] = {std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::infinity()};
-            if (ds.count() == 0) continue;
-            reconstruct_born(ds.lo, ds.hi);
-            mpisim::Comm::ComputeRegion region(comm);
-            for (std::uint32_t a = ds.lo; a < ds.hi; ++a) {
-              proxy_vals[i][0] = std::min(proxy_vals[i][0], born[a]);
-              proxy_vals[i][1] = std::min(proxy_vals[i][1], -born[a]);
-            }
-          }
-        }
-      }
-    }
-    const double agreed_r_min = n_atoms > 0 ? mm[0] : 1.0;
-    const double agreed_r_max = n_atoms > 0 ? -mm[1] : 1.0;
-    const EpolFarField field =
-        EpolFarField::make(agreed_r_min, agreed_r_max, params.eps_epol);
-    const int m_bins = field.m_bins;
-
-    // ---- Bin-level halo: allgatherv of owned leaf bin rows (THE far-field
-    // exchange), then scatter into the node store and re-fold the internal
-    // rows locally. leaf_bins/fold_internal_bins are the replicated
-    // constructor's own loops, so the store matches it bit-for-bit.
-    std::vector<int> row_counts(static_cast<std::size_t>(P), 0);
-    std::vector<int> row_displs(static_cast<std::size_t>(P), 0);
-    int row_total = 0;
-    for (int rk = 0; rk < P; ++rk) {
-      row_counts[static_cast<std::size_t>(rk)] = static_cast<int>(
-          ownership.ranks[static_cast<std::size_t>(rk)].atom_leaves.count() *
-          static_cast<std::uint32_t>(m_bins));
-      row_displs[static_cast<std::size_t>(rk)] = row_total;
-      row_total += row_counts[static_cast<std::size_t>(rk)];
-    }
-    const int my_row_count = row_counts[static_cast<std::size_t>(r)];
-    std::vector<double> my_rows(
-        std::max<std::size_t>(static_cast<std::size_t>(my_row_count), 1), 0.0);
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-      for (std::uint32_t l = own.atom_leaves.lo; l < own.atom_leaves.hi; ++l) {
-        const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
-        EpolSolver::leaf_bins(prep, born, field, leaf.begin, leaf.end,
-                              my_rows.data() +
-                                  static_cast<std::size_t>(l - own.atom_leaves.lo) *
-                                      static_cast<std::size_t>(m_bins));
-      }
-    }
-    std::vector<double> gathered(
-        std::max<std::size_t>(static_cast<std::size_t>(row_total), 1), 0.0);
-    {
-      std::vector<int> proxied;
-      std::vector<std::vector<double>> proxy_rows;
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (std::size_t i = 0; i < proxied.size(); ++i)
-          pubs.push_back({proxied[i], proxy_rows[i].data()});
-        const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
-            std::span<const double>(my_rows.data(),
-                                    static_cast<std::size_t>(my_row_count)),
-            gathered, row_counts, row_displs, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        proxied.clear();
-        proxy_rows.clear();
-        if (r == writer) {
-          proxied = st.dead;
-          proxy_rows.resize(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i) {
-            const int d = proxied[i];
-            const OwnershipMap::RankSpan& dspan =
-                ownership.ranks[static_cast<std::size_t>(d)];
-            proxy_rows[i].assign(
-                std::max<std::size_t>(
-                    static_cast<std::size_t>(row_counts[static_cast<std::size_t>(d)]), 1),
-                0.0);
-            if (dspan.atoms.count() > 0) reconstruct_born(dspan.atoms.lo, dspan.atoms.hi);
-            mpisim::Comm::ComputeRegion region(comm);
-            const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-            for (std::uint32_t l = dspan.atom_leaves.lo; l < dspan.atom_leaves.hi; ++l) {
-              const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
-              EpolSolver::leaf_bins(
-                  prep, born, field, leaf.begin, leaf.end,
-                  proxy_rows[i].data() +
-                      static_cast<std::size_t>(l - dspan.atom_leaves.lo) *
-                          static_cast<std::size_t>(m_bins));
-            }
-          }
-        }
-      }
-    }
-    const std::size_t n_anodes = prep.atoms_tree.nodes().size();
-    std::vector<double> node_bins(n_anodes * static_cast<std::size_t>(m_bins), 0.0);
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-      for (int rk = 0; rk < P; ++rk) {
-        const Segment ls = ownership.ranks[static_cast<std::size_t>(rk)].atom_leaves;
-        for (std::uint32_t l = ls.lo; l < ls.hi; ++l) {
-          std::memcpy(node_bins.data() +
-                          static_cast<std::size_t>(aleaves[l]) *
-                              static_cast<std::size_t>(m_bins),
-                      gathered.data() +
-                          static_cast<std::size_t>(row_displs[static_cast<std::size_t>(rk)]) +
-                          static_cast<std::size_t>(l - ls.lo) *
-                              static_cast<std::size_t>(m_bins),
-                      static_cast<std::size_t>(m_bins) * sizeof(double));
-        }
-      }
-      EpolSolver::fold_internal_bins(prep.atoms_tree, m_bins, node_bins);
-    }
-
-    // ---- E_pol with the injected far-field state; near entries read the
-    // point-level halo. Recovery chunks may reach outside it, so their
-    // inputs are reconstructed BEFORE the traced region (double list build,
-    // degraded paths only).
-    obs::phase_begin(obs::PhaseId::kEpol);
-    std::unique_ptr<EpolSolver> epol_solver;
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants,
-                                                 field, node_bins);
-    }
-    const auto ensure_chunk_inputs = [&](const InteractionLists& lists) {
-      for (const InteractionLists::Near& nr : lists.near) {
-        for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
-          const OctreeNode& leaf = prep.atoms_tree.node(node_id);
-          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
-            reconstruct_born(leaf.begin, leaf.end);
-        }
-      }
-    };
-    const auto compute_epol_chunk = [&](std::uint32_t c, bool recovery,
-                                        bool recompute = false) {
-      const Segment seg = epol_plan.chunk_range(c);
-      if (recovery) {
-        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-        ensure_chunk_inputs(lists);
-      }
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        double raws[2] = {0.0, 0.0};
-        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-        epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(),
-                                                 raws[0]);
-        epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(),
-                                                  raws[1]);
-        epol_raws[c] = {raws[0], raws[1]};
-      });
-      seal_epol(c);
-      if (!recompute && plan_epol.initial_rank[c] != r) comm.add_migrated_chunk();
-      epol_ledger.mark_done(c, r);
-    };
-
-    const auto verify_epol = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-        if (support::crc32(epol_raws[c].data(), bytes) == epol_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        // recovery=true is a no-op when the chunk's near inputs are still
-        // resident (they are: this rank computed it earlier); it only
-        // reconstructs after a degraded path dropped them.
-        compute_epol_chunk(c, /*recovery=*/true, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
-    };
-
-    std::vector<std::uint32_t> my_epol_ids = restored_epol_ids[static_cast<std::size_t>(r)];
-    {
-      const std::vector<std::uint32_t>& order = plan_epol.order[static_cast<std::size_t>(r)];
-      if (policy.enabled() && boundary_due())
-        save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids,
-                             {born, hash_section()});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!epol_ledger.done(c)) {
-          compute_epol_chunk(c, /*recovery=*/false);
-          my_epol_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids,
-                                 {born, hash_section()});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
-
-    // ---- E_pol sync + striped recovery.
-    obs::phase_begin(obs::PhaseId::kEpolReduce);
-    {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;
-      for (;;) {
-        // Same integrity gate as the Born sync.
-        verify_epol(my_epol_ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), epol_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (epol_ledger.done(c)) continue;
-          compute_epol_chunk(c, /*recovery=*/true);
-          my_epol_ids.push_back(c);
-          comm.add_redistributed_work(epol_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids,
-                               {born, hash_section()});
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
-    }
-
-    // Fold raw sums in ascending chunk order; finish once.
-    comm.charge_collective(obs::CollKind::kAllreduce,
-                           static_cast<std::size_t>(epol_plan.n_chunks) * 2 *
-                               sizeof(double));
-    double energy = 0.0;
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      double far_total = 0.0, near_total = 0.0;
-      for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c) {
-        far_total += epol_raws[c][0];
-        near_total += epol_raws[c][1];
-      }
-      energy = epol_solver->finish_energy_pair(far_total, near_total);
-    }
-
-    // ---- Final Born gather: owned slices stream p2p to the writer (the
-    // post-collective window is death-free, so live sends always land);
-    // dead ranks' slices are reconstructed. Replicated mode needs no gather
-    // — this is owned mode's price for not holding everyone's radii.
-    if (r == writer) {
-      energy_shared = energy;
-      std::copy(born.begin() + own.atoms.lo, born.begin() + own.atoms.hi,
-                born_shared.begin() + own.atoms.lo);
-      for (int rk = 0; rk < P; ++rk) {
-        if (rk == r) continue;
-        const Segment s = ownership.ranks[static_cast<std::size_t>(rk)].atoms;
-        if (s.count() == 0) continue;
-        bool have = false;
-        if (!std::binary_search(dead_set.begin(), dead_set.end(), rk)) {
-          const mpisim::RecvStatus rs = comm.recv_ft<double>(
-              std::span<double>(born_shared.data() + s.lo, s.count()), rk,
-              kTagOwnedBorn);
-          have = rs.ok();
-        }
-        if (!have) {
-          reconstruct_born(s.lo, s.hi);
-          std::copy(born.begin() + s.lo, born.begin() + s.hi,
-                    born_shared.begin() + s.lo);
-        }
-      }
-    } else if (own.atoms.count() > 0) {
-      comm.send<double>(
-          std::span<const double>(born.data() + own.atoms.lo, own.atoms.count()),
-          writer, kTagOwnedBorn);
-    }
-    obs::phase_end();
-  });
-
-  result.energy = energy_shared;
-  result.compute_seconds = report.max_compute_seconds();
-  result.comm_seconds = report.max_comm_seconds();
-  result.wall_seconds = report.wall_seconds;
-  result.retries = report.retries;
-  result.redistributed_work_items = report.redistributed_work_items;
-  result.migrated_chunks = report.migrated_chunks;
-  result.corruption_injected = report.corruption_injected;
-  result.corruption_detected = report.corruption_detected;
-  result.corruption_recomputed = report.corruption_recomputed;
-  result.corruption_retransmits = report.corruption_retransmits;
-  result.degraded = report.degraded;
-  result.killed = report.killed;
-  result.resumed = resume;
-  result.stalls_converted = report.stalls_converted;
-  result.error_class = report.error_class;
-  result.replicated_bytes =
-      static_cast<std::size_t>(P) *
-      (prep.replicated_footprint().bytes + acc_len * sizeof(double) +
-       static_cast<std::size_t>(n_atoms) * sizeof(double));
-  // Logical owned-mode footprint under the final far-field model (bin count
+  // Logical owned-view footprint under the final far-field model (bin count
   // depends on the Born extrema, which a killed run never agreed on).
-  if (!report.killed) {
+  if (owned && !report.killed) {
     double mn = 1.0, mx = 1.0;
     if (!born_shared.empty()) {
       const auto ext = std::minmax_element(born_shared.begin(), born_shared.end());
       mn = *ext.first;
       mx = *ext.second;
     }
-    const EpolFarField final_field = EpolFarField::make(mn, std::max(mx, mn),
-                                                        params.eps_epol);
-    const OwnedFootprint ofp =
-        owned_footprint(prep, ownership, halo, final_field.m_bins);
+    const EpolFarField final_field =
+        EpolFarField::make(mn, std::max(mx, mn), params.eps_epol);
+    const OwnedFootprint ofp = owned_footprint(prep, ownership, halo, final_field.m_bins);
     result.owned_bytes_per_rank = ofp.max_rank_bytes();
     result.owned_halo_bytes = ofp.halo_bytes;
   }
   result.born_sorted = std::move(born_shared);
   result.rank_results = report.ranks;
+  result.steals = ws_steals.load();
+  result.tasks = ws_tasks.load();
   return result;
 }
 

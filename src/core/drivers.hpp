@@ -14,7 +14,8 @@
 // folded in ascending chunk order. Shapes with the same P·p therefore give
 // bit-identical energies and Born radii, and every shape inherits death
 // recovery, checkpoint/resume and the integrity guards. Owned-mode data
-// distribution (detail::oct_owned) shares the chunk plan and fold.
+// distribution is a data view of the same function: ranks hold their owned
+// leaf ranges plus a halo instead of the whole molecule, at any P x p.
 //
 // Every driver returns the energy, the Born radii, and a timing breakdown:
 // measured CPU seconds for compute, modeled seconds for communication, and

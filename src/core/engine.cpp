@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/kernels_simd.hpp"
@@ -74,12 +75,17 @@ RunResult Engine::run(const RunOptions& options) const {
   RunOptions shape = options;
   if (mode == EngineMode::kCilk) shape.ranks = 1;
 
-  // Owned-mode data distribution is defined for one worker per rank, the
-  // node-node division and list traversal; any other shape runs replicated
-  // (documented on RunOptions::distribution).
-  if (shape.distribution == DataDistribution::kOwned && shape.threads_per_rank <= 1 &&
-      shape.division == WorkDivision::kNodeNode && shape.traversal == TraversalMode::kList)
-    return detail::oct_owned(*prep_, params, constants_, shape);
+  // The owned view's halo plan replays node-node list chunks; a shape it
+  // cannot honour is rejected before any rank starts (documented on
+  // RunOptions::distribution).
+  if (shape.distribution == DataDistribution::kOwned) {
+    if (shape.traversal != TraversalMode::kList)
+      throw std::invalid_argument(
+          "RunOptions: distribution = kOwned requires traversal = TraversalMode::kList");
+    if (shape.division != WorkDivision::kNodeNode)
+      throw std::invalid_argument(
+          "RunOptions: distribution = kOwned requires division = WorkDivision::kNodeNode");
+  }
   return detail::oct_balanced(*prep_, params, constants_, shape);
 }
 

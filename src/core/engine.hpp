@@ -2,10 +2,10 @@
 //
 // Every run knob — topology, traversal, work division, balance policy,
 // faults, kill, checkpoint, integrity, campaign / trace destinations — is a
-// RunOptions field, and Engine::run routes the shape to one of three drivers
-// (drivers.hpp): OCT_SERIAL, the owned-mode driver, or the canonical
-// chunk-fold driver that runs OCT_CILK (one rank, p workers), OCT_MPI and
-// OCT_MPI+CILK alike:
+// RunOptions field, and Engine::run routes the shape to one of two drivers
+// (drivers.hpp): OCT_SERIAL, or the canonical chunk-fold driver that runs
+// OCT_CILK (one rank, p workers), OCT_MPI and OCT_MPI+CILK alike, over
+// replicated or owned data:
 //
 //   gbpol::Engine engine(prep);            // or (prep, params, constants)
 //   gbpol::RunOptions opt;
@@ -91,11 +91,13 @@ struct RunOptions {
   BalancePolicy balance = BalancePolicy::kStatic;
   std::uint32_t balance_chunk_leaves = 0;  // leaves per chunk; 0 = auto
 
-  // Data residency (core/workdiv.hpp). kOwned routes distributed runs
-  // through the owned-mode driver: ranks own Morton-contiguous leaf ranges
-  // and exchange halos instead of holding the full molecule. Requires
-  // threads_per_rank == 1, kNodeNode and TraversalMode::kList; other shapes
-  // run replicated.
+  // Data residency (core/workdiv.hpp). kOwned runs the chunk-fold driver's
+  // owned data view: ranks own Morton-contiguous leaf ranges and exchange
+  // halos instead of holding the full molecule, at any ranks x
+  // threads_per_rank shape and bit-identical to kReplicated. It requires
+  // TraversalMode::kList and WorkDivision::kNodeNode: Engine::run throws
+  // std::invalid_argument naming `traversal` or `division` otherwise. The
+  // serial route ignores it.
   DataDistribution distribution = DataDistribution::kReplicated;
 
   // Fault injection, process kill, stall supervision (mpisim).
@@ -296,8 +298,8 @@ struct RunResultDoc {
   std::uint64_t redistributed_work_items = 0;
   std::uint64_t migrated_chunks = 0;
   std::uint64_t steal_grants = 0;
-  // Pure v1 additions (owned mode): absent in documents written before the
-  // owned driver existed, so they parse as zero rather than rejecting.
+  // Pure v1 additions (owned mode): absent in documents written before
+  // owned mode existed, so they parse as zero rather than rejecting.
   std::uint64_t owned_bytes_per_rank = 0;
   std::uint64_t owned_halo_bytes = 0;
   // Pure v1 additions (incremental trajectories): same absent-parses-as-zero
@@ -350,17 +352,15 @@ namespace detail {
 RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
                      const GBConstants& constants);
 // Canonical chunk-fold driver (DESIGN.md "Load balancing"): OCT_CILK,
-// OCT_MPI and OCT_MPI+CILK under every balance policy and work division.
+// OCT_MPI and OCT_MPI+CILK under every balance policy and work division,
+// over either data view. DataDistribution::kOwned has ranks own
+// Morton-contiguous leaf ranges and exchange halos per their interaction
+// lists (DESIGN.md "Domain decomposition & halo exchange") with the same
+// chunks, fold and recovery, so its energies and Born radii are
+// bit-identical to the replicated view's. The owned view requires
+// TraversalMode::kList and WorkDivision::kNodeNode (checked by Engine::run).
 RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                        const GBConstants& constants, const RunOptions& options);
-// Owned-mode spatial domain decomposition (DataDistribution::kOwned): ranks
-// own Morton-contiguous leaf ranges and exchange halos per their interaction
-// lists (DESIGN.md "Domain decomposition & halo exchange"); same canonical
-// chunk-fold and recovery protocols as oct_balanced, so energies and Born
-// radii are bit-identical to the replicated drivers. Requires
-// threads_per_rank == 1, WorkDivision::kNodeNode, TraversalMode::kList.
-RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
-                    const GBConstants& constants, const RunOptions& options);
 }  // namespace detail
 
 }  // namespace gbpol

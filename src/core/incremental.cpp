@@ -99,7 +99,7 @@ TrajectoryDriver::TrajectoryDriver(const Molecule& mol,
                                    const ApproxParams& params,
                                    const GBConstants& constants)
     : mol_(mol), topt_(topt), params_(params), constants_(constants) {
-  // The caches and the owned-mode driver both require the list engine.
+  // The caches and the owned data view both require the list engine.
   params_.traversal = TraversalMode::kList;
 
   cur_pos_.resize(mol_.size());

@@ -35,6 +35,9 @@ void check_finite(const Atom& a, const char* format, const char* unit,
   }
 }
 
+// The five numeric fields of an atom record, in file order.
+constexpr const char* kFieldNames[5] = {"x", "y", "z", "charge", "radius"};
+
 // Whole-token numeric parse: trailing characters ("1.5x") are a failure. A
 // leading '+' is accepted, as stream extraction does.
 template <typename T>
@@ -101,11 +104,10 @@ Molecule read_xyzqr(std::istream& is, std::string name) {
     }
     if (fields.size() != 5)
       fail("expected 5 fields (x y z charge radius), found ", fields.size());
-    constexpr const char* kNames[5] = {"x", "y", "z", "charge", "radius"};
     double v[5];
     for (int k = 0; k < 5; ++k)
       if (!parse_number(fields[static_cast<std::size_t>(k)], v[k]))
-        fail("field '", kNames[k], "' is not a number");
+        fail("field '", kFieldNames[k], "' is not a number");
     Atom a;
     a.pos = Vec3{v[0], v[1], v[2]};
     a.charge = v[3];
@@ -129,6 +131,12 @@ Molecule read_pqr(std::istream& is, std::string name) {
   std::vector<Atom> atoms;
   std::string line;
   std::size_t line_no = 0;
+  const auto fail = [&](const auto&... parts) {
+    std::ostringstream msg;
+    msg << "pqr: line " << line_no << ": ";
+    (msg << ... << parts);
+    throw IoError(msg.str());
+  };
   while (std::getline(is, line)) {
     ++line_no;
     std::istringstream tokens(line);
@@ -140,25 +148,17 @@ Molecule read_pqr(std::istream& is, std::string name) {
     while (tokens >> field) fields.push_back(field);
     // Trailing five numerics are x y z charge radius; everything before is
     // serial/name/residue/(chain)/resSeq, whose count varies.
-    if (fields.size() < 8) {
-      std::ostringstream msg;
-      msg << "pqr: line " << line_no << ": expected at least 9 fields";
-      throw IoError(msg.str());
-    }
-    const std::size_t n = fields.size();
+    if (fields.size() < 8) fail("expected at least 9 fields");
+    double v[5];
+    for (std::size_t k = 0; k < 5; ++k)
+      if (!parse_number(fields[fields.size() - 5 + k], v[k]))
+        fail("field '", kFieldNames[k], "' is not a number");
     Atom a;
-    try {
-      a.pos = Vec3{std::stod(fields[n - 5]), std::stod(fields[n - 4]),
-                   std::stod(fields[n - 3])};
-      a.charge = std::stod(fields[n - 2]);
-      a.radius = std::stod(fields[n - 1]);
-    } catch (const std::exception&) {
-      std::ostringstream msg;
-      msg << "pqr: line " << line_no << ": non-numeric coordinate field";
-      throw IoError(msg.str());
-    }
+    a.pos = Vec3{v[0], v[1], v[2]};
+    a.charge = v[3];
+    a.radius = v[4];
     check_finite(a, "pqr", "line", line_no);
-    if (a.radius < 0.0) throw IoError("pqr: negative radius");
+    if (a.radius < 0.0) fail("negative radius");
     atoms.push_back(a);
     if (atoms.size() > kMaxAtoms) {
       std::ostringstream msg;

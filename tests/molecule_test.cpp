@@ -219,6 +219,9 @@ TEST(IoTest, PqrRejectsGarbage) {
   EXPECT_THROW(read_pqr(short_line), IoError);
   std::istringstream non_numeric("ATOM 1 N ALA 1 x y z q r\n");
   EXPECT_THROW(read_pqr(non_numeric), IoError);
+  // Trailing junk after a number is not a number (as in read_xyzqr).
+  std::istringstream trailing_junk("ATOM 1 N ALA 1 1.5x 2.0 3.0 -0.3 1.55\n");
+  EXPECT_THROW(read_pqr(trailing_junk), IoError);
 }
 
 // Helper: run the reader and return the IoError message (empty = no throw).

@@ -1,12 +1,14 @@
 // Owned-mode spatial domain decomposition (DataDistribution::kOwned): the
 // 0-ulp equivalence battery pinning owned runs to the replicated canonical
-// chunk-fold baseline — across rank counts on the three golden molecules,
-// across all balance policies, under seeded fault schedules (drops + a
-// death), and across a kill/restart resume — plus the memory-scaling
-// regression the decomposition exists for (per-rank hot bytes at 8 ranks
-// <= 0.35x the replicated footprint on a >= 50k-point molecule).
+// chunk-fold baseline — across rank counts and ranks x workers hybrids on
+// the three golden molecules, across all balance policies, under seeded
+// fault schedules (drops + a death), and across kill/restart resumes — plus
+// the memory-scaling regression the decomposition exists for (per-rank hot
+// bytes at 8 ranks <= 0.35x the replicated footprint on a >= 50k-point
+// molecule) and the typed rejection of shapes the owned view cannot honour.
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,10 +39,22 @@ Prepared build_prep(const Golden& g) {
   return Prepared::build(mol, quad, 16);
 }
 
-RunOptions replicated_options(int ranks) { return distributed_options(ranks); }
+// A ranks x threads_per_rank shape (OCT_MPI at one worker per rank).
+struct Shape {
+  int ranks;
+  int threads = 1;
+};
 
-RunOptions owned_options(int ranks) {
-  RunOptions options = replicated_options(ranks);
+std::string describe(const Shape& shape) {
+  return std::to_string(shape.ranks) + "x" + std::to_string(shape.threads);
+}
+
+RunOptions replicated_options(Shape shape) {
+  return distributed_options(shape.ranks, shape.threads);
+}
+
+RunOptions owned_options(Shape shape) {
+  RunOptions options = replicated_options(shape);
   options.distribution = DataDistribution::kOwned;
   return options;
 }
@@ -59,21 +73,26 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
 // --- owned == replicated, fault-free -------------------------------------
 
 TEST(OwnedModeTest, MatchesReplicatedBitExactlyOnGoldenMolecules) {
+  // Owned hybrids fold the chunks cut from P·p like every other shape, so
+  // at P·p = 4 the owned 2x2, owned 4x1 and owned 1x4 runs, the replicated
+  // 2x2 run and OCT_CILK on 4 workers all agree to the last bit.
   for (const Golden& g : kGolden) {
     const Prepared prep = build_prep(g);
-    for (const int ranks : {1, 2, 5, 8}) {
-      SCOPED_TRACE("atoms=" + std::to_string(g.n_atoms) +
-                   " ranks=" + std::to_string(ranks));
-      const RunResult baseline = run(prep, replicated_options(ranks));
+    const RunResult cilk4 = run(prep, cilk_options(4));
+    for (const Shape shape : {Shape{1}, Shape{2}, Shape{5}, Shape{8}, Shape{4},
+                              Shape{2, 2}, Shape{1, 4}}) {
+      SCOPED_TRACE("atoms=" + std::to_string(g.n_atoms) + " shape=" + describe(shape));
+      const RunResult baseline = run(prep, replicated_options(shape));
       ASSERT_NE(baseline.energy, 0.0);
-      const RunResult owned = run(prep, owned_options(ranks));
+      const RunResult owned = run(prep, owned_options(shape));
       expect_bit_identical(owned, baseline);
+      if (shape.ranks * shape.threads == 4) expect_bit_identical(owned, cilk4);
       // The owned run must actually report its decomposed footprint; the
       // replicated run must not.
       EXPECT_GT(owned.owned_bytes_per_rank, 0u);
       EXPECT_EQ(baseline.owned_bytes_per_rank, 0u);
       // A single rank owns everything: no halo at all.
-      if (ranks == 1) {
+      if (shape.ranks == 1) {
         EXPECT_EQ(owned.owned_halo_bytes, 0u);
       }
     }
@@ -85,9 +104,9 @@ TEST(OwnedModeTest, ChunkGranularityStaysBitIdenticalToReplicatedTwin) {
   // the SAME granularity must agree at every granularity.
   const Prepared prep = build_prep(kGolden[0]);
   for (const std::uint32_t chunk_leaves : {1u, 3u}) {
-    RunOptions repl = replicated_options(5);
+    RunOptions repl = replicated_options({5});
     repl.balance_chunk_leaves = chunk_leaves;
-    RunOptions owned = owned_options(5);
+    RunOptions owned = owned_options({5});
     owned.balance_chunk_leaves = chunk_leaves;
     SCOPED_TRACE("chunk_leaves=" + std::to_string(chunk_leaves));
     expect_bit_identical(run(prep, owned), run(prep, repl));
@@ -99,11 +118,11 @@ TEST(OwnedModeTest, ChunkGranularityStaysBitIdenticalToReplicatedTwin) {
 TEST(OwnedModeTest, AllBalancePoliciesBitIdentical) {
   const Prepared prep = build_prep(kGolden[1]);
   for (const int ranks : {3, 8}) {
-    const RunResult baseline = run(prep, replicated_options(ranks));
+    const RunResult baseline = run(prep, replicated_options({ranks}));
     for (const BalancePolicy policy :
          {BalancePolicy::kStatic, BalancePolicy::kCostModel,
           BalancePolicy::kSteal}) {
-      RunOptions options = owned_options(ranks);
+      RunOptions options = owned_options({ranks});
       options.balance = policy;
       SCOPED_TRACE("ranks=" + std::to_string(ranks) + " policy=" +
                    std::to_string(static_cast<int>(policy)));
@@ -116,39 +135,41 @@ TEST(OwnedModeTest, AllBalancePoliciesBitIdentical) {
 
 TEST(OwnedModeTest, SeededDropAndDeathSchedulesStayBitExact) {
   const Prepared prep = build_prep(kGolden[0]);
-  const int ranks = 5;
-  const RunResult clean = run(prep, owned_options(ranks));
-  const RunResult baseline = run(prep, replicated_options(ranks));
-  expect_bit_identical(clean, baseline);
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    FaultPlan plan;
-    // Dropped p2p copies force halo-exchange retransmits; the owned path
-    // always reaches collective seqs 0..3 (Born sync, minmax, row gather,
-    // Epol sync), so this death is guaranteed to fire.
-    plan.drops.push_back({/*src=*/static_cast<int>(seed % ranks),
-                          /*dst=*/static_cast<int>((seed + 1) % ranks),
-                          /*send_seq=*/0,
-                          /*lost_copies=*/static_cast<int>(1 + seed % 2)});
-    plan.deaths.push_back({.rank = static_cast<int>(seed % ranks),
-                           .collective_seq = seed % 4});
-    RunOptions options = owned_options(ranks);
-    options.faults = plan;
-    const RunResult faulty = run(prep, options);
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    expect_bit_identical(faulty, baseline);
-    EXPECT_TRUE(faulty.degraded);
+  for (const Shape shape : {Shape{5}, Shape{2, 3}}) {
+    const int ranks = shape.ranks;
+    const RunResult clean = run(prep, owned_options(shape));
+    const RunResult baseline = run(prep, replicated_options(shape));
+    expect_bit_identical(clean, baseline);
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+      FaultPlan plan;
+      // Dropped p2p copies force halo-exchange retransmits; the owned path
+      // always reaches collective seqs 0..3 (Born sync, minmax, row gather,
+      // Epol sync), so this death is guaranteed to fire.
+      plan.drops.push_back({/*src=*/static_cast<int>(seed % ranks),
+                            /*dst=*/static_cast<int>((seed + 1) % ranks),
+                            /*send_seq=*/0,
+                            /*lost_copies=*/static_cast<int>(1 + seed % 2)});
+      plan.deaths.push_back({.rank = static_cast<int>(seed % ranks),
+                             .collective_seq = seed % 4});
+      RunOptions options = owned_options(shape);
+      options.faults = plan;
+      const RunResult faulty = run(prep, options);
+      SCOPED_TRACE("shape=" + describe(shape) + " seed=" + std::to_string(seed));
+      expect_bit_identical(faulty, baseline);
+      EXPECT_TRUE(faulty.degraded);
+    }
   }
 }
 
 TEST(OwnedModeTest, CascadingDeathDuringOwnedRecoveryStaysBitExact) {
   const Prepared prep = build_prep(kGolden[0]);
   const int ranks = 5;
-  const RunResult baseline = run(prep, replicated_options(ranks));
+  const RunResult baseline = run(prep, replicated_options({ranks}));
   for (const std::uint64_t seq : {0u, 1u, 2u, 3u}) {
     FaultPlan plan;
     plan.deaths.push_back({.rank = 1, .collective_seq = seq});
     plan.deaths.push_back({.rank = 3, .collective_seq = seq + 1});
-    RunOptions options = owned_options(ranks);
+    RunOptions options = owned_options({ranks});
     options.faults = plan;
     SCOPED_TRACE("seq=" + std::to_string(seq));
     const RunResult faulty = run(prep, options);
@@ -160,9 +181,9 @@ TEST(OwnedModeTest, CascadingDeathDuringOwnedRecoveryStaysBitExact) {
 TEST(OwnedModeTest, StealPolicyUnderDeathStaysBitExact) {
   const Prepared prep = build_prep(kGolden[0]);
   const int ranks = 5;
-  const RunResult baseline = run(prep, replicated_options(ranks));
+  const RunResult baseline = run(prep, replicated_options({ranks}));
   for (const std::uint64_t seed : {0u, 1u, 2u, 3u}) {
-    RunOptions options = owned_options(ranks);
+    RunOptions options = owned_options({ranks});
     options.balance = BalancePolicy::kSteal;
     options.faults.deaths.push_back(
         {.rank = static_cast<int>(1 + seed % (ranks - 1)),
@@ -180,69 +201,84 @@ TEST(OwnedModeTest, ResumesBitExactlyAfterKillRestart) {
   const Prepared prep = build_prep(kGolden[0]);
   const std::string base = ::testing::TempDir() + "/gbpol_owned_ckpt_" +
                            std::to_string(::getpid());
-  const int ranks = 5;
-  const RunResult clean = run(prep, replicated_options(ranks));
-  bool any_killed = false;
-  for (const std::uint64_t seed : {0u, 1u, 2u, 3u, 4u, 5u}) {
-    const std::string dir = base + "_" + std::to_string(seed);
-    std::filesystem::remove_all(dir);
-    RunOptions options = owned_options(ranks);
-    options.checkpoint.dir = dir;
-    options.checkpoint.every_k_chunks = 1;
-    options.checkpoint.chunk_leaves = 1 + static_cast<std::uint32_t>(seed % 3);
-    options.checkpoint.every_n_collectives = 1;
-    options.kill.armed = true;
-    options.kill.rank = static_cast<int>(seed % ranks);
-    // The owned path's kill polls happen in the Born and Epol chunk loops;
-    // both collective phases are exercised across the seed set.
-    options.kill.collective_seq = seed % 2 == 0 ? 0 : 3;
-    options.kill.tick = 1 + seed;
-    const RunResult killed = run(prep, options);
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    if (killed.killed) {
-      any_killed = true;
-      options.kill = {};
-      options.checkpoint.resume = true;
-      const RunResult resumed = run(prep, options);
-      EXPECT_TRUE(resumed.resumed);
-      expect_bit_identical(resumed, clean);
-    } else {
-      expect_bit_identical(killed, clean);
+  for (const Shape shape : {Shape{5}, Shape{2, 3}}) {
+    const int ranks = shape.ranks;
+    const RunResult clean = run(prep, replicated_options(shape));
+    bool any_killed = false;
+    for (const std::uint64_t seed : {0u, 1u, 2u, 3u, 4u, 5u}) {
+      const std::string dir = base + "_" + std::to_string(seed);
+      std::filesystem::remove_all(dir);
+      RunOptions options = owned_options(shape);
+      options.checkpoint.dir = dir;
+      options.checkpoint.every_k_chunks = 1;
+      options.checkpoint.chunk_leaves = 1 + static_cast<std::uint32_t>(seed % 3);
+      options.checkpoint.every_n_collectives = 1;
+      options.kill.armed = true;
+      options.kill.rank = static_cast<int>(seed % ranks);
+      // The owned path's kill polls happen in the Born and Epol chunk loops;
+      // both collective phases are exercised across the seed set.
+      options.kill.collective_seq = seed % 2 == 0 ? 0 : 3;
+      options.kill.tick = 1 + seed;
+      const RunResult killed = run(prep, options);
+      SCOPED_TRACE("shape=" + describe(shape) + " seed=" + std::to_string(seed));
+      if (killed.killed) {
+        any_killed = true;
+        options.kill = {};
+        options.checkpoint.resume = true;
+        const RunResult resumed = run(prep, options);
+        EXPECT_TRUE(resumed.resumed);
+        expect_bit_identical(resumed, clean);
+      } else {
+        expect_bit_identical(killed, clean);
+      }
+      std::filesystem::remove_all(dir);
     }
-    std::filesystem::remove_all(dir);
+    EXPECT_TRUE(any_killed) << describe(shape);  // the seeds must exercise a resume
   }
-  EXPECT_TRUE(any_killed);  // the seed set must actually exercise a resume
 }
 
 TEST(OwnedModeTest, ResumeWithDeathAfterRestartStaysBitExact) {
   // Kill, restart, and lose a rank during the resumed run: the resumed
   // redistribution (pinned by the ownership/halo hashes in the job key)
   // plus degraded recovery must still land on the clean bits.
+  struct Schedule {
+    const char* cut;
+    std::uint32_t every_k_chunks;
+    std::uint32_t every_n_collectives;
+    std::uint64_t kill_seq;
+    std::uint64_t kill_tick;
+    std::uint64_t death_seq;  // of rank 2, in the resumed run
+  };
+  // The second schedule's latest complete snapshot set is kPush, so the
+  // resumed run never recomputes the Born partials; the death at its first
+  // collective (the Born extrema) makes the writer reconstruct rank 2's
+  // radii from fresh chunks.
+  const Schedule schedules[] = {{"born", 1, 1, 0, 2, 1}, {"push", 0, 2, 3, 1, 0}};
   const Prepared prep = build_prep(kGolden[0]);
   const std::string dir = ::testing::TempDir() + "/gbpol_owned_ckpt_dd_" +
                           std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
   const int ranks = 4;
-  const RunResult clean = run(prep, replicated_options(ranks));
-  RunOptions options = owned_options(ranks);
-  options.checkpoint.dir = dir;
-  options.checkpoint.every_k_chunks = 1;
-  options.checkpoint.every_n_collectives = 1;
-  options.kill.armed = true;
-  options.kill.rank = 1;
-  options.kill.collective_seq = 0;
-  options.kill.tick = 2;
-  const RunResult killed = run(prep, options);
-  if (killed.killed) {
+  const RunResult clean = run(prep, replicated_options({ranks}));
+  for (const Schedule& sc : schedules) {
+    SCOPED_TRACE(std::string("cut=") + sc.cut);
+    std::filesystem::remove_all(dir);
+    RunOptions options = owned_options({ranks});
+    options.checkpoint.dir = dir;
+    options.checkpoint.every_k_chunks = sc.every_k_chunks;
+    options.checkpoint.every_n_collectives = sc.every_n_collectives;
+    options.kill.armed = true;
+    options.kill.rank = 1;
+    options.kill.collective_seq = sc.kill_seq;
+    options.kill.tick = sc.kill_tick;
+    const RunResult killed = run(prep, options);
+    ASSERT_TRUE(killed.killed);
     options.kill = {};
     options.checkpoint.resume = true;
-    options.faults.deaths.push_back({.rank = 2, .collective_seq = 1});
+    options.faults.deaths.push_back({.rank = 2, .collective_seq = sc.death_seq});
     const RunResult resumed = run(prep, options);
     EXPECT_TRUE(resumed.resumed);
     EXPECT_TRUE(resumed.degraded);
     expect_bit_identical(resumed, clean);
-  } else {
-    expect_bit_identical(killed, clean);
   }
   std::filesystem::remove_all(dir);
 }
@@ -263,7 +299,7 @@ TEST(OwnedModeTest, EightRankFootprintIsUnderThirtyFivePercentOfReplicated) {
   ASSERT_GE(prep.num_atoms() + prep.q_tree.num_points(), 50000u)
       << "synthetic molecule too small for the scaling regression";
 
-  const RunResult owned = run(prep, owned_options(8));
+  const RunResult owned = run(prep, owned_options({8}));
   ASSERT_GT(owned.owned_bytes_per_rank, 0u);
   ASSERT_GT(owned.replicated_bytes, 0u);
   const double replicated_per_rank =
@@ -280,7 +316,7 @@ TEST(OwnedModeTest, FootprintShrinksWithRankCount) {
   const Prepared prep = build_prep(kGolden[1]);
   std::size_t prev = 0;
   for (const int ranks : {1, 4, 8}) {
-    const RunResult owned = run(prep, owned_options(ranks));
+    const RunResult owned = run(prep, owned_options({ranks}));
     ASSERT_GT(owned.owned_bytes_per_rank, 0u);
     if (prev > 0) {
       EXPECT_LT(owned.owned_bytes_per_rank, prev);
@@ -298,24 +334,31 @@ TEST(OwnedModeTest, MoreRanksThanLeavesStillMatches) {
   const surface::SurfaceQuadrature quad = surface::molecular_surface_quadrature(
       mol, {.grid_spacing = 1.5, .dunavant_degree = 2, .kappa = 2.3});
   const Prepared prep = Prepared::build(mol, quad, 16);
-  const RunResult baseline = run(prep, replicated_options(12));
-  const RunResult owned = run(prep, owned_options(12));
+  const RunResult baseline = run(prep, replicated_options({12}));
+  const RunResult owned = run(prep, owned_options({12}));
   expect_bit_identical(owned, baseline);
 }
 
-TEST(OwnedModeTest, NonCanonicalShapesFallBackToReplicatedRouting) {
-  // distribution = kOwned with a shape the owned driver doesn't define
-  // (recursive traversal) must still produce the correct answer through the
-  // replicated fallback and report no owned footprint.
+TEST(OwnedModeTest, UnsupportedOwnedShapesAreRejected) {
+  // The owned view's halo plan replays node-node list chunks. A recursive
+  // walk or atom-index E_pol chunks are rejected with a typed error naming
+  // the field before any rank starts, never run replicated behind the
+  // caller's back.
   const Prepared prep = build_prep(kGolden[0]);
-  RunOptions options = owned_options(3);
-  options.traversal = TraversalMode::kRecursive;
-  RunOptions repl = replicated_options(3);
-  repl.traversal = TraversalMode::kRecursive;
-  const RunResult a = run(prep, options);
-  const RunResult b = run(prep, repl);
-  expect_bit_identical(a, b);
-  EXPECT_EQ(a.owned_bytes_per_rank, 0u);
+  RunOptions recursive = owned_options({3});
+  recursive.traversal = TraversalMode::kRecursive;
+  RunOptions atom_based = owned_options({2, 2});
+  atom_based.division = WorkDivision::kAtomBased;
+  for (const auto& [options, field] :
+       {std::pair{recursive, "traversal"}, std::pair{atom_based, "division"}}) {
+    SCOPED_TRACE(field);
+    try {
+      run(prep, options);
+      ADD_FAILURE() << "owned run with an unsupported " << field << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace
