@@ -31,7 +31,9 @@ int main() {
       params.born_strict_criterion = strict;
       const BornSolver solver(pm.prep, params);
       const auto n_leaves = static_cast<std::uint32_t>(pm.prep.q_tree.leaves().size());
-      const auto stats = solver.count_qleaf_range(0, n_leaves);
+      const InteractionCounts stats =
+          count_interactions(pm.prep.atoms_tree, pm.prep.q_tree,
+                             BornSolver::walk_params(params, 0, n_leaves));
 
       ThreadCpuTimer timer;
       BornAccumulator acc = solver.make_accumulator();
@@ -48,8 +50,8 @@ int main() {
 
       table.add_row({strict ? "strict (as printed)" : "consistent (default)",
                      Table::num(eps, 2), Table::num(params.born_far_multiplier(), 4),
-                     Table::integer(static_cast<long long>(stats.far_terms)),
-                     Table::integer(static_cast<long long>(stats.exact_pairs)),
+                     Table::integer(static_cast<long long>(stats.far)),
+                     Table::integer(static_cast<long long>(stats.near_point_pairs)),
                      Table::num(seconds, 4), Table::num(mean_err, 4)});
     }
   }

@@ -4,7 +4,9 @@
 # trace) under each, plus repo-wide gates: the removed run_oct_* free
 # functions must not reappear anywhere (the Engine/Service API surface is
 # final), nor the deleted legacy driver symbols (one chunk-fold driver for
-# every parallel shape and data view), perfbench's metric unit tests must pass, the balance_stress bench must
+# every parallel shape and data view) or the parallel list build, the
+# one-shot drivers must not build an interaction list, perfbench's metric
+# unit tests must pass, the balance_stress bench must
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
 # records the ratios in bench_out/micro_kernels.json), the approx-math
@@ -56,13 +58,23 @@ echo "=== grep gate: one chunk-fold driver ==="
 # OCT_CILK, OCT_MPI+CILK and owned-mode data distribution all run on the
 # canonical chunk-fold driver (owned mode is its data view); the legacy
 # distributed driver, the separate owned driver (oct_owned), the dual-tree
-# recursion, the data-distributed prototype, the canonical_reduction switch
-# and the kNodeBalanced/kDynamic divisions were deleted and must not come
-# back. The harness package names ("oct_cilk" in quotes) are labels, not
-# symbols, and stay allowed.
-if grep -rnP '(?<!")\b(oct_distributed|oct_cilk|oct_owned)\b(?!")|dual_subtree|recurse_dual|canonical_reduction|kNodeBalanced|kDynamic|distributed_data' \
+# recursion, the data-distributed prototype, the canonical_reduction switch,
+# the kNodeBalanced/kDynamic divisions and the parallel interaction-list
+# build were deleted and must not come back. The harness package names
+# ("oct_cilk" in quotes) are labels, not symbols, and stay allowed.
+if grep -rnP '(?<!")\b(oct_distributed|oct_cilk|oct_owned)\b(?!")|dual_subtree|recurse_dual|canonical_reduction|kNodeBalanced|kDynamic|distributed_data|build_interaction_lists_parallel|build_lists_parallel' \
     src bench tests examples 2>/dev/null; then
   echo "check.sh: a deleted driver symbol is back in-tree (every parallel shape and data view runs on detail::oct_balanced)" >&2
+  exit 1
+fi
+
+echo "=== grep gate: one-shot routes never build an interaction list ==="
+# The serial and chunk-fold drivers and the halo planner evaluate or count
+# inside visit_interactions (core/interaction_lists.hpp); only callers that
+# reuse a list (TrajectoryDriver, the traced layer benchmark) may emit one.
+if grep -nE '\b(build_lists|build_interaction_lists)\(' \
+    src/core/drivers.cpp src/core/halo_exchange.cpp; then
+  echo "check.sh: a one-shot route builds an interaction list (evaluate in the walk instead)" >&2
   exit 1
 fi
 

@@ -18,17 +18,13 @@ constexpr InteractionLists::TileCost kBornTileCost = {
     // tree nodes.
     /*far_bytes_per_entry=*/sizeof(Vec3) + sizeof(Mat3) + 2 * sizeof(OctreeNode)};
 
-// Scalar kernels live in core/approx_math.hpp (born_kernel_term /
-// born_dipole_term), shared between the recursive engine, the list engine's
-// far loop, and the micro benches.
+// Runtime dispatch: one table lookup per evaluation call, one indirect call
+// per leaf pair; nullptr selects the always-available SoA template.
 template <int Power>
-double kernel_term(const Vec3& wn, const Vec3& diff, double d2) {
-  return born_kernel_term<Power>(wn, diff, d2);
-}
-
-template <int Power>
-double dipole_term(const Mat3& moment, const Vec3& diff, double d2) {
-  return born_dipole_term<Power>(moment, diff, d2);
+SimdKernelTable::BornNearFn born_near_fn() {
+  const SimdKernelTable* simd = simd_kernel_table();
+  if (simd == nullptr) return nullptr;
+  return Power == 6 ? simd->born_near_r6 : simd->born_near_r4;
 }
 
 }  // namespace
@@ -40,7 +36,7 @@ void BornAccumulator::add(const BornAccumulator& other) {
 
 bool BornSolver::is_far(const OctreeNode& a, const OctreeNode& q) const {
   const double d2 = distance2(a.centroid, q.centroid);
-  const double reach = (a.radius + q.radius) * far_multiplier_;
+  const double reach = (a.radius + q.radius) * walk_.far_multiplier;
   return d2 > reach * reach;
 }
 
@@ -53,13 +49,7 @@ void BornSolver::approx_integrals(std::uint32_t atom_node_id, std::uint32_t q_le
 
   if (is_far(a, q)) {
     // Far enough: one aggregated term for ALL atoms under A (Fig. 2 line 1).
-    const Vec3 diff = q.centroid - a.centroid;
-    const double d2 = norm2(diff);
-    double term = kernel_term<Power>(prep_->node_weighted_normal[q_leaf_id], diff, d2);
-    if constexpr (Dipole) {
-      term += dipole_term<Power>(prep_->node_moment[q_leaf_id], diff, d2);
-    }
-    acc.node_s(atom_node_id) += term;
+    acc.node_s(atom_node_id) += far_term<Power, Dipole>(atom_node_id, q_leaf_id);
     return;
   }
   if (a.is_leaf()) {
@@ -95,27 +85,77 @@ void BornSolver::accumulate_qleaf_range(std::uint32_t leaf_lo, std::uint32_t lea
 
 InteractionLists BornSolver::build_lists(std::uint32_t q_leaf_lo,
                                          std::uint32_t q_leaf_hi) const {
-  InteractionLists lists = build_interaction_lists(
-      prep_->atoms_tree, prep_->q_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = false,  // Fig. 2 tests far before the leaf case
-       .source_leaf_lo = q_leaf_lo,
-       .source_leaf_hi = q_leaf_hi});
+  InteractionLists lists = build_interaction_lists(prep_->atoms_tree, prep_->q_tree,
+                                                   walk_.over(q_leaf_lo, q_leaf_hi));
   lists.build_tiles(prep_->atoms_tree, prep_->q_tree, kBornTileCost);
   return lists;
 }
 
-InteractionLists BornSolver::build_lists_parallel(ws::Scheduler& sched,
-                                                  std::uint32_t q_leaf_lo,
-                                                  std::uint32_t q_leaf_hi) const {
-  InteractionLists lists = build_interaction_lists_parallel(
-      sched, prep_->atoms_tree, prep_->q_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = false,
-       .source_leaf_lo = q_leaf_lo,
-       .source_leaf_hi = q_leaf_hi});
-  lists.build_tiles(prep_->atoms_tree, prep_->q_tree, kBornTileCost);
-  return lists;
+// One far visit's aggregated term (Fig. 2 line 1), shared by every engine.
+// The scalar kernels live in core/approx_math.hpp (born_kernel_term /
+// born_dipole_term). Always inlined: the caller's `node_s += term` may
+// contract with the kernel's last multiply into one FMA, so every caller
+// must see the same inlined expression for the walk and list evaluators to
+// round identically.
+template <int Power, bool Dipole>
+inline double BornSolver::far_term(std::uint32_t atom_node, std::uint32_t q_leaf) const {
+  const OctreeNode& a = prep_->atoms_tree.node(atom_node);
+  const OctreeNode& q = prep_->q_tree.node(q_leaf);
+  const Vec3 diff = q.centroid - a.centroid;
+  const double d2 = norm2(diff);
+  double term = born_kernel_term<Power>(prep_->node_weighted_normal[q_leaf], diff, d2);
+  if constexpr (Dipole) {
+    term += born_dipole_term<Power>(prep_->node_moment[q_leaf], diff, d2);
+  }
+  return term;
+}
+
+// One near visit (Fig. 2 line 2): the dispatched SIMD kernel `fn`, or the
+// SoA template when no SIMD table is available (fn == nullptr).
+template <int Power>
+void BornSolver::near_pair(SimdKernelTable::BornNearFn fn, std::uint32_t atom_leaf,
+                           std::uint32_t q_leaf, double* atom_s) const {
+  const PointsSoA& q = prep_->q_soa;
+  const PointsSoA& wn = prep_->q_wn_soa;
+  const PointsSoA& a = prep_->atoms_soa;
+  const OctreeNode& an = prep_->atoms_tree.node(atom_leaf);
+  const OctreeNode& qn = prep_->q_tree.node(q_leaf);
+  if (fn != nullptr) {
+    fn(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(), wn.z.data(),
+       qn.begin, qn.end, a.x.data(), a.y.data(), a.z.data(), an.begin, an.end, atom_s);
+  } else {
+    born_near_soa<Power>(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(),
+                         wn.z.data(), qn.begin, qn.end, a.x.data(), a.y.data(),
+                         a.z.data(), an.begin, an.end, atom_s);
+  }
+}
+
+template <int Power, bool Dipole>
+void BornSolver::walk_impl(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                           BornAccumulator& acc) const {
+  double* atom_s = acc.atom_s_data();
+  const SimdKernelTable::BornNearFn fn = born_near_fn<Power>();
+  visit_interactions(
+      prep_->atoms_tree, prep_->q_tree, walk_.over(q_leaf_lo, q_leaf_hi),
+      [&](std::uint32_t a, std::uint32_t q) {
+        acc.node_s(a) += far_term<Power, Dipole>(a, q);
+      },
+      [&](std::uint32_t a, std::uint32_t q) { near_pair<Power>(fn, a, q, atom_s); });
+}
+
+void BornSolver::accumulate_walk(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                                 BornAccumulator& acc) const {
+  if (kernel_ == RadiusKernel::kR6) {
+    if (dipole_)
+      walk_impl<6, true>(q_leaf_lo, q_leaf_hi, acc);
+    else
+      walk_impl<6, false>(q_leaf_lo, q_leaf_hi, acc);
+  } else {
+    if (dipole_)
+      walk_impl<4, true>(q_leaf_lo, q_leaf_hi, acc);
+    else
+      walk_impl<4, false>(q_leaf_lo, q_leaf_hi, acc);
+  }
 }
 
 template <int Power, bool Dipole>
@@ -127,16 +167,7 @@ void BornSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
                                                         std::size_t thi) {
     for (std::size_t i = tlo; i < thi; ++i) {
       const InteractionLists::Far& e = lists.far[i];
-      const OctreeNode& a = prep_->atoms_tree.node(e.target_node);
-      const OctreeNode& q = prep_->q_tree.node(e.source_leaf);
-      const Vec3 diff = q.centroid - a.centroid;
-      const double d2 = norm2(diff);
-      double term = born_kernel_term<Power>(prep_->node_weighted_normal[e.source_leaf],
-                                            diff, d2);
-      if constexpr (Dipole) {
-        term += born_dipole_term<Power>(prep_->node_moment[e.source_leaf], diff, d2);
-      }
-      acc.node_s(e.target_node) += term;
+      acc.node_s(e.target_node) += far_term<Power, Dipole>(e.target_node, e.source_leaf);
     }
   });
 }
@@ -144,32 +175,12 @@ void BornSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
 template <int Power>
 void BornSolver::near_range_impl(const InteractionLists& lists, std::size_t lo,
                                  std::size_t hi, BornAccumulator& acc) const {
-  const PointsSoA& q = prep_->q_soa;
-  const PointsSoA& wn = prep_->q_wn_soa;
-  const PointsSoA& a = prep_->atoms_soa;
   double* atom_s = acc.atom_s_data();
-  // Runtime dispatch: one table lookup per range, one indirect call per leaf
-  // pair; the SoA template stays the always-available fallback.
-  const SimdKernelTable* simd = simd_kernel_table();
-  const SimdKernelTable::BornNearFn fn =
-      simd != nullptr ? (Power == 6 ? simd->born_near_r6 : simd->born_near_r4)
-                      : nullptr;
+  const SimdKernelTable::BornNearFn fn = born_near_fn<Power>();
   for_each_tile_range(lists.near_tile_start, lo, hi, [&](std::size_t tlo,
                                                          std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i) {
-      const InteractionLists::Near& e = lists.near[i];
-      const OctreeNode& an = prep_->atoms_tree.node(e.target_leaf);
-      const OctreeNode& qn = prep_->q_tree.node(e.source_leaf);
-      if (fn != nullptr) {
-        fn(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(), wn.z.data(),
-           qn.begin, qn.end, a.x.data(), a.y.data(), a.z.data(), an.begin, an.end,
-           atom_s);
-      } else {
-        born_near_soa<Power>(q.x.data(), q.y.data(), q.z.data(), wn.x.data(),
-                             wn.y.data(), wn.z.data(), qn.begin, qn.end, a.x.data(),
-                             a.y.data(), a.z.data(), an.begin, an.end, atom_s);
-      }
-    }
+    for (std::size_t i = tlo; i < thi; ++i)
+      near_pair<Power>(fn, lists.near[i].target_leaf, lists.near[i].source_leaf, atom_s);
   });
 }
 
@@ -200,28 +211,11 @@ template <int Power>
 void BornSolver::near_entries_impl(const InteractionLists& lists,
                                    std::span<const std::uint32_t> entry_ids,
                                    BornAccumulator& acc) const {
-  const PointsSoA& q = prep_->q_soa;
-  const PointsSoA& wn = prep_->q_wn_soa;
-  const PointsSoA& a = prep_->atoms_soa;
   double* atom_s = acc.atom_s_data();
-  const SimdKernelTable* simd = simd_kernel_table();
-  const SimdKernelTable::BornNearFn fn =
-      simd != nullptr ? (Power == 6 ? simd->born_near_r6 : simd->born_near_r4)
-                      : nullptr;
-  for (std::uint32_t idx : entry_ids) {
-    const InteractionLists::Near& e = lists.near[idx];
-    const OctreeNode& an = prep_->atoms_tree.node(e.target_leaf);
-    const OctreeNode& qn = prep_->q_tree.node(e.source_leaf);
-    if (fn != nullptr) {
-      fn(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(), wn.z.data(),
-         qn.begin, qn.end, a.x.data(), a.y.data(), a.z.data(), an.begin, an.end,
-         atom_s);
-    } else {
-      born_near_soa<Power>(q.x.data(), q.y.data(), q.z.data(), wn.x.data(),
-                           wn.y.data(), wn.z.data(), qn.begin, qn.end, a.x.data(),
-                           a.y.data(), a.z.data(), an.begin, an.end, atom_s);
-    }
-  }
+  const SimdKernelTable::BornNearFn fn = born_near_fn<Power>();
+  for (std::uint32_t idx : entry_ids)
+    near_pair<Power>(fn, lists.near[idx].target_leaf, lists.near[idx].source_leaf,
+                     atom_s);
 }
 
 void BornSolver::accumulate_near_entries(const InteractionLists& lists,
@@ -269,36 +263,6 @@ void BornSolver::push_to_atoms(const BornAccumulator& acc, std::uint32_t atom_lo
                                std::span<double> born_sorted) const {
   if (prep_->atoms_tree.empty()) return;
   push_recursive(acc, 0, 0.0, atom_lo, atom_hi, born_sorted);
-}
-
-namespace {
-void count_recursive(const Prepared& prep, double far_mult, std::uint32_t atom_node_id,
-                     std::uint32_t q_leaf_id, BornSolver::TraversalStats& stats) {
-  const OctreeNode& a = prep.atoms_tree.node(atom_node_id);
-  const OctreeNode& q = prep.q_tree.node(q_leaf_id);
-  const double d2 = distance2(a.centroid, q.centroid);
-  const double reach = (a.radius + q.radius) * far_mult;
-  if (d2 > reach * reach) {
-    ++stats.far_terms;
-    return;
-  }
-  if (a.is_leaf()) {
-    stats.exact_pairs += static_cast<std::uint64_t>(a.count()) * q.count();
-    return;
-  }
-  for (std::uint8_t c = 0; c < a.child_count; ++c)
-    count_recursive(prep, far_mult, static_cast<std::uint32_t>(a.first_child) + c,
-                    q_leaf_id, stats);
-}
-}  // namespace
-
-BornSolver::TraversalStats BornSolver::count_qleaf_range(std::uint32_t leaf_lo,
-                                                         std::uint32_t leaf_hi) const {
-  TraversalStats stats;
-  const auto leaves = prep_->q_tree.leaves();
-  for (std::uint32_t i = leaf_lo; i < leaf_hi; ++i)
-    count_recursive(*prep_, far_multiplier_, 0, leaves[i], stats);
-  return stats;
 }
 
 }  // namespace gbpol

@@ -1,16 +1,13 @@
 // Octree-based r^6 Born-radius approximation (Fig. 2 of the paper).
 //
-// Two traversal strategies are provided:
-//
-//  * Single-tree (APPROX-INTEGRALS): the modified algorithm of the paper —
-//    for each LEAF Q of the quadrature-point octree, traverse the atoms
-//    octree; far (A, Q) pairs deposit one aggregated term into s_A, near
-//    leaf pairs compute exact per-atom terms. This is the algorithm the
-//    distributed drivers divide by Q-leaf segments (node-based division).
-//
-//  * Dual-tree (the prior shared-memory algorithm of [6]/[7], used by
-//    OCT_CILK): both octrees are traversed simultaneously from their roots,
-//    so far-field aggregation also happens at INTERNAL quadrature nodes.
+// APPROX-INTEGRALS, the modified algorithm of the paper: for each LEAF Q of
+// the quadrature-point octree, traverse the atoms octree; far (A, Q) pairs
+// deposit one aggregated term into s_A, near leaf pairs compute exact
+// per-atom terms. The chunk-fold driver divides the work by Q-leaf ranges
+// (node-based division). Two engines run it: the walk engine
+// (TraversalMode::kList, over core/interaction_lists.hpp's
+// visit_interactions, with the SoA/SIMD near kernels) and the scalar
+// recursive engine (TraversalMode::kRecursive, the A/B baseline).
 //
 // Both deposit into a BornAccumulator (per-node s_A + per-atom s_a), which
 // PUSH-INTEGRALS-TO-ATOMS then resolves top-down into Born radii:
@@ -22,6 +19,7 @@
 #include <vector>
 
 #include "core/interaction_lists.hpp"
+#include "core/kernels_simd.hpp"
 #include "core/prepared.hpp"
 
 namespace gbpol {
@@ -62,9 +60,19 @@ class BornSolver {
  public:
   BornSolver(const Prepared& prep, const ApproxParams& params)
       : prep_(&prep),
-        far_multiplier_(params.born_far_multiplier()),
+        walk_(walk_params(params, 0, 0)),
         kernel_(params.radius_kernel),
         dipole_(params.born_dipole_correction) {}
+
+  // The Fig. 2 walk over q-tree leaves [q_leaf_lo, q_leaf_hi): the far test
+  // comes before the leaf case, so a distant atom leaf is a far visit.
+  static ListBuildParams walk_params(const ApproxParams& params, std::uint32_t q_leaf_lo,
+                                     std::uint32_t q_leaf_hi) {
+    return {.far_multiplier = params.born_far_multiplier(),
+            .exact_at_target_leaf = false,
+            .source_leaf_lo = q_leaf_lo,
+            .source_leaf_hi = q_leaf_hi};
+  }
 
   BornAccumulator make_accumulator() const {
     return BornAccumulator(prep_->atoms_tree.nodes().size(), prep_->num_atoms());
@@ -76,13 +84,16 @@ class BornSolver {
   void accumulate_qleaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
                               BornAccumulator& acc) const;
 
-  // --- Interaction-list engine (TraversalMode::kList, the default) ---------
-  // One traversal emits the same (atom_node x q_leaf) decomposition as
-  // accumulate_qleaf_range into flat near/far lists; evaluation then runs as
-  // chunked loops over the lists with batched SoA near kernels.
+  // --- Walk engine (TraversalMode::kList, the default) ----------------------
+  // The same (atom_node x q_leaf) decomposition as accumulate_qleaf_range,
+  // from visit_interactions. accumulate_walk evaluates each visit in place
+  // (far term into node_s, dispatched SIMD near kernel into atom_s) — the
+  // one-shot path, which never materializes a list. build_lists emits the
+  // visits instead, for callers that stream them more than once; evaluating
+  // the lists runs the identical per-slot fold.
+  void accumulate_walk(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                       BornAccumulator& acc) const;
   InteractionLists build_lists(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi) const;
-  InteractionLists build_lists_parallel(ws::Scheduler& sched, std::uint32_t q_leaf_lo,
-                                        std::uint32_t q_leaf_hi) const;
   // Far / near list segments [lo, hi) — chunkable by any parallel_for; far
   // entries write node_s, near entries write atom_s, so chunks of the SAME
   // list on distinct accumulators merge without double counting.
@@ -108,19 +119,19 @@ class BornSolver {
   void push_to_atoms(const BornAccumulator& acc, std::uint32_t atom_lo,
                      std::uint32_t atom_hi, std::span<double> born_sorted) const;
 
-  // Number of (node|leaf)-level interactions the last-configured criterion
-  // would make far vs exact — exposed for tests/ablation via traversal
-  // statistics.
-  struct TraversalStats {
-    std::uint64_t far_terms = 0;
-    std::uint64_t exact_pairs = 0;
-  };
-  TraversalStats count_qleaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
-
  private:
   template <int Power, bool Dipole>
   void approx_integrals(std::uint32_t atom_node, std::uint32_t q_leaf,
                         BornAccumulator& acc) const;
+  template <int Power, bool Dipole>
+  [[gnu::always_inline]] double far_term(std::uint32_t atom_node,
+                                         std::uint32_t q_leaf) const;
+  template <int Power>
+  void near_pair(SimdKernelTable::BornNearFn fn, std::uint32_t atom_leaf,
+                 std::uint32_t q_leaf, double* atom_s) const;
+  template <int Power, bool Dipole>
+  void walk_impl(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                 BornAccumulator& acc) const;
   template <int Power, bool Dipole>
   void far_range_impl(const InteractionLists& lists, std::size_t lo, std::size_t hi,
                       BornAccumulator& acc) const;
@@ -137,7 +148,7 @@ class BornSolver {
   bool is_far(const OctreeNode& a, const OctreeNode& q) const;
 
   const Prepared* prep_;
-  double far_multiplier_;
+  ListBuildParams walk_;
   RadiusKernel kernel_;
   bool dipole_;
 };

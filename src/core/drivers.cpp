@@ -227,25 +227,21 @@ struct PhasePlans {
   PhasePlan epol;
 };
 
-// Chunk cost estimates from a host-side list build: a source leaf costs its
-// near-field point pairs (target points x source points per near entry)
-// plus one aggregated evaluation per source point for each far entry.
+// Chunk cost estimates from a count-only walk: a source leaf costs its
+// near-field point pairs (target points x source points per near visit)
+// plus one aggregated evaluation per source point for each far visit.
 // Occupancy x total — the coarser interaction_costs overload — under-prices
 // dense regions, because near-field work grows with the neighbourhood's
-// density, not just the leaf's own count. The list walk is pure geometry
-// (no Born values), so the E_pol lists can be built before phase 1 runs.
+// density, not just the leaf's own count. The walk is pure geometry (no Born
+// values), so the E_pol costs are known before phase 1 runs.
 std::vector<double> chunk_costs(const Octree& target, const Octree& source,
-                                const ChunkPlan& plan, const InteractionLists& lists) {
+                                const ChunkPlan& plan, const ListBuildParams& walk) {
   const auto leaves = source.leaves();
-  std::vector<std::uint32_t> leaf_of(source.nodes().size(), 0);
-  for (std::uint32_t i = 0; i < leaves.size(); ++i) leaf_of[leaves[i]] = i;
   std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
-  for (const InteractionLists::Near& nr : lists.near)
-    per_leaf[leaf_of[nr.source_leaf]] +=
-        static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
-        source.node(nr.source_leaf).count();
-  for (const InteractionLists::Far& fr : lists.far)
-    per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
+  for (std::uint32_t l = 0; l < leaves.size(); ++l) {
+    const InteractionCounts n = count_interactions(target, source, walk.over(l, l + 1));
+    per_leaf[l] = n.near_point_pairs + n.far * source.node(leaves[l]).count();
+  }
   const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
   std::vector<double> costs(plan.n_chunks, 0.0);
   for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
@@ -258,12 +254,10 @@ std::vector<double> chunk_costs(const Octree& target, const Octree& source,
 // Both phases' plans for `ranks` ranks. Chunks are sized from the total
 // worker count (ranks x threads), so every shape with the same total cuts
 // the same chunks. kStatic even-splits regardless of the costs, so the cost
-// build is skipped there and the baseline stays list-free; atom chunks
-// (WorkDivision::kAtomBased) are not priced either — every policy
-// even-splits them.
+// walk is skipped there; atom chunks (WorkDivision::kAtomBased) are not
+// priced either — every policy even-splits them.
 PhasePlans plan_phases(const Prepared& prep, const ApproxParams& params,
-                       const BornSolver& born_solver, const RunOptions& options,
-                       int ranks, int workers) {
+                       const RunOptions& options, int ranks, int workers) {
   const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
   const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
   const bool atom_epol = options.division == WorkDivision::kAtomBased;
@@ -276,15 +270,10 @@ PhasePlans plan_phases(const Prepared& prep, const ApproxParams& params,
   std::vector<double> epol_costs(plans.epol.chunks.n_chunks, 0.0);
   if (options.balance != BalancePolicy::kStatic) {
     born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, plans.born.chunks,
-                             born_solver.build_lists(0, n_qleaves));
+                             BornSolver::walk_params(params, 0, 0));
     if (!atom_epol)
-      epol_costs = chunk_costs(
-          prep.atoms_tree, prep.atoms_tree, plans.epol.chunks,
-          build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
-                                  {.far_multiplier = params.epol_far_multiplier(),
-                                   .exact_at_target_leaf = true,
-                                   .source_leaf_lo = 0,
-                                   .source_leaf_hi = n_aleaves}));
+      epol_costs = chunk_costs(prep.atoms_tree, prep.atoms_tree, plans.epol.chunks,
+                               EpolSolver::walk_params(params, 0, 0));
   }
   for (auto [plan, costs] : {std::pair{&plans.born, &born_costs},
                              std::pair{&plans.epol, &epol_costs}}) {
@@ -309,8 +298,7 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
   BornAccumulator acc = born_solver.make_accumulator();
   const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
   if (params.traversal == TraversalMode::kList) {
-    const InteractionLists lists = born_solver.build_lists(0, n_qleaves);
-    born_solver.accumulate_lists(lists, acc);
+    born_solver.accumulate_walk(0, n_qleaves, acc);
   } else {
     born_solver.accumulate_qleaf_range(0, n_qleaves, acc);
   }
@@ -322,8 +310,9 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
   const EpolSolver epol_solver(prep, result.born_sorted, params, constants);
   const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
   if (params.traversal == TraversalMode::kList) {
-    const InteractionLists lists = epol_solver.build_lists(0, n_aleaves);
-    result.energy = epol_solver.energy_from_lists(lists);
+    double raw_far = 0.0, raw_near = 0.0;
+    epol_solver.accumulate_energy_walk(0, n_aleaves, raw_far, raw_near);
+    result.energy = epol_solver.finish_energy_pair(raw_far, raw_near);
   } else {
     result.energy = epol_solver.energy_for_leaf_range(0, n_aleaves);
   }
@@ -403,7 +392,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   const bool atom_epol = options.division == WorkDivision::kAtomBased;
   const bool pair_finish = params.traversal == TraversalMode::kList && !atom_epol;
 
-  const PhasePlans plans = plan_phases(prep, params, born_solver, options, P, P * p);
+  const PhasePlans plans = plan_phases(prep, params, options, P, P * p);
   const ChunkPlan& born_plan = plans.born.chunks;
   const ChunkPlan& epol_plan = plans.epol.chunks;
   const BalanceAssignment& plan_born = plans.born.assign;
@@ -833,8 +822,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       const Segment seg = born_plan.chunk_range(c);
       BornAccumulator scratch = born_solver.make_accumulator();
       if (params.traversal == TraversalMode::kList) {
-        const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-        born_solver.accumulate_lists(lists, scratch);
+        born_solver.accumulate_walk(seg.lo, seg.hi, scratch);
       } else {
         born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
       }
@@ -1093,9 +1081,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       if (atom_epol) {
         epol_solver->accumulate_energy_atom_range(seg.lo, seg.hi, raws[0]);
       } else if (params.traversal == TraversalMode::kList) {
-        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-        epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(), raws[0]);
-        epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(), raws[1]);
+        epol_solver->accumulate_energy_walk(seg.lo, seg.hi, raws[0], raws[1]);
       } else {
         epol_solver->accumulate_energy_leaf_range(seg.lo, seg.hi, raws[0]);
       }
@@ -1103,18 +1089,20 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     };
     // Owned view: recovery and integrity recomputes may reach outside the
     // halo, so their near inputs are reconstructed on the rank thread before
-    // the chunk's wave (a second list build, degraded paths only).
+    // the chunk's wave (a second walk, degraded paths only).
     const auto prepare_epol = [&](std::uint32_t c) {
       if (!owned) return;
       const Segment seg = epol_plan.chunk_range(c);
-      const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-      for (const InteractionLists::Near& nr : lists.near) {
-        for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
-          const OctreeNode& leaf = prep.atoms_tree.node(node_id);
-          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
-            reconstruct_born(leaf.begin, leaf.end);
-        }
-      }
+      visit_interactions(
+          prep.atoms_tree, prep.atoms_tree, EpolSolver::walk_params(params, seg.lo, seg.hi),
+          [](std::uint32_t, std::uint32_t) {},
+          [&](std::uint32_t target_leaf, std::uint32_t source_leaf) {
+            for (const std::uint32_t node_id : {target_leaf, source_leaf}) {
+              const OctreeNode& leaf = prep.atoms_tree.node(node_id);
+              if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
+                reconstruct_born(leaf.begin, leaf.end);
+            }
+          });
     };
     const auto publish_epol = [&](std::uint32_t c, bool recompute) {
       seal_epol(c);

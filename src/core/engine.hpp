@@ -355,7 +355,7 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 // OCT_MPI and OCT_MPI+CILK under every balance policy and work division,
 // over either data view. DataDistribution::kOwned has ranks own
 // Morton-contiguous leaf ranges and exchange halos per their interaction
-// lists (DESIGN.md "Domain decomposition & halo exchange") with the same
+// walks (DESIGN.md "Domain decomposition & halo exchange") with the same
 // chunks, fold and recovery, so its energies and Born radii are
 // bit-identical to the replicated view's. The owned view requires
 // TraversalMode::kList and WorkDivision::kNodeNode (checked by Engine::run).

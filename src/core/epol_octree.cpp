@@ -12,6 +12,15 @@ namespace {
 // Both sides of an epol near pair stream x/y/z/charge/born per atom.
 constexpr std::size_t kEpolNearBytesPerPoint = 5 * sizeof(double);
 
+// Runtime dispatch: one table lookup per evaluation call, one indirect call
+// per leaf pair; nullptr selects the always-available SoA template.
+template <bool kApproxMath>
+SimdKernelTable::EpolNearFn epol_near_fn() {
+  const SimdKernelTable* simd = simd_kernel_table();
+  if (simd == nullptr) return nullptr;
+  return kApproxMath ? simd->epol_near_approx : simd->epol_near_exact;
+}
+
 }  // namespace
 
 EpolFarField EpolFarField::make(double r_min, double r_max, double eps_epol) {
@@ -65,7 +74,7 @@ EpolSolver::EpolSolver(const Prepared& prep, std::span<const double> born_sorted
                        const ApproxParams& params, const GBConstants& constants)
     : prep_(&prep),
       born_(born_sorted),
-      far_multiplier_(params.epol_far_multiplier()),
+      walk_(walk_params(params, 0, 0)),
       scale_(-0.5 * constants.tau() * constants.coulomb_kcal),
       approx_math_(params.approx_math) {
   const auto [min_it, max_it] = std::minmax_element(born_.begin(), born_.end());
@@ -97,7 +106,7 @@ EpolSolver::EpolSolver(const Prepared& prep, std::span<const double> born_sorted
                        std::span<const double> node_bins_ext)
     : prep_(&prep),
       born_(born_sorted),
-      far_multiplier_(params.epol_far_multiplier()),
+      walk_(walk_params(params, 0, 0)),
       scale_(-0.5 * constants.tau() * constants.coulomb_kcal),
       approx_math_(params.approx_math) {
   adopt_far_field(field);
@@ -184,7 +193,7 @@ double EpolSolver::recurse_single(std::uint32_t u_node, const LeafView& v) const
     return pair_sum_exact<kApproxMath>(u.begin, u.end, v);  // Fig. 3 line 1
   }
   const double d2 = distance2(u.centroid, v.centroid);
-  const double reach = (u.radius + v.radius) * far_multiplier_;
+  const double reach = (u.radius + v.radius) * walk_.far_multiplier;
   if (d2 > reach * reach) {  // Fig. 3 line 2
     return binned_far_term<kApproxMath>(node_bins(u_node), v.bins, d2);
   }
@@ -245,71 +254,72 @@ InteractionLists::TileCost EpolSolver::tile_cost() const {
 
 InteractionLists EpolSolver::build_lists(std::uint32_t leaf_lo,
                                          std::uint32_t leaf_hi) const {
-  InteractionLists lists = build_interaction_lists(
-      prep_->atoms_tree, prep_->atoms_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = true,  // Fig. 3 line 1: leaves are exact even if far
-       .source_leaf_lo = leaf_lo,
-       .source_leaf_hi = leaf_hi});
-  lists.build_tiles(prep_->atoms_tree, prep_->atoms_tree, tile_cost());
-  return lists;
-}
-
-InteractionLists EpolSolver::build_lists_parallel(ws::Scheduler& sched,
-                                                  std::uint32_t leaf_lo,
-                                                  std::uint32_t leaf_hi) const {
-  InteractionLists lists = build_interaction_lists_parallel(
-      sched, prep_->atoms_tree, prep_->atoms_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = true,
-       .source_leaf_lo = leaf_lo,
-       .source_leaf_hi = leaf_hi});
+  InteractionLists lists = build_interaction_lists(prep_->atoms_tree, prep_->atoms_tree,
+                                                   walk_.over(leaf_lo, leaf_hi));
   lists.build_tiles(prep_->atoms_tree, prep_->atoms_tree, tile_cost());
   return lists;
 }
 
 template <bool kApproxMath>
+double EpolSolver::far_term(std::uint32_t u_node, std::uint32_t v_leaf) const {
+  const auto nodes = prep_->atoms_tree.nodes();
+  const double d2 = distance2(nodes[u_node].centroid, nodes[v_leaf].centroid);
+  return binned_far_term<kApproxMath>(node_bins(u_node), node_bins(v_leaf), d2);
+}
+
+// The dispatched SIMD kernel `fn`, or the SoA template when fn == nullptr.
+template <bool kApproxMath>
+double EpolSolver::near_pair(SimdKernelTable::EpolNearFn fn, std::uint32_t u_leaf,
+                             std::uint32_t v_leaf) const {
+  const PointsSoA& a = prep_->atoms_soa;
+  const OctreeNode& u = prep_->atoms_tree.node(u_leaf);
+  const OctreeNode& v = prep_->atoms_tree.node(v_leaf);
+  if (fn != nullptr)
+    return fn(a.x.data(), a.y.data(), a.z.data(), prep_->charge.data(), born_.data(),
+              u.begin, u.end, v.begin, v.end);
+  return epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(),
+                                    prep_->charge.data(), born_.data(), u.begin, u.end,
+                                    v.begin, v.end);
+}
+
+template <bool kApproxMath>
+void EpolSolver::walk_impl(std::uint32_t leaf_lo, std::uint32_t leaf_hi, double& raw_far,
+                           double& raw_near) const {
+  const SimdKernelTable::EpolNearFn fn = epol_near_fn<kApproxMath>();
+  visit_interactions(
+      prep_->atoms_tree, prep_->atoms_tree, walk_.over(leaf_lo, leaf_hi),
+      [&](std::uint32_t u, std::uint32_t v) { raw_far += far_term<kApproxMath>(u, v); },
+      [&](std::uint32_t u, std::uint32_t v) {
+        raw_near += near_pair<kApproxMath>(fn, u, v);
+      });
+}
+
+void EpolSolver::accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
+                                        double& raw_far, double& raw_near) const {
+  approx_math_ ? walk_impl<true>(leaf_lo, leaf_hi, raw_far, raw_near)
+               : walk_impl<false>(leaf_lo, leaf_hi, raw_far, raw_near);
+}
+
+template <bool kApproxMath>
 void EpolSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
                                 std::size_t hi, double& sum) const {
-  const auto nodes = prep_->atoms_tree.nodes();
   // Far bin tiles: boundaries only, entry order unchanged — bit-identical.
   for_each_tile_range(lists.far_tile_start, lo, hi, [&](std::size_t tlo,
                                                         std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i) {
-      const InteractionLists::Far& e = lists.far[i];
-      const double d2 =
-          distance2(nodes[e.target_node].centroid, nodes[e.source_leaf].centroid);
-      sum += binned_far_term<kApproxMath>(node_bins(e.target_node),
-                                          node_bins(e.source_leaf), d2);
-    }
+    for (std::size_t i = tlo; i < thi; ++i)
+      sum += far_term<kApproxMath>(lists.far[i].target_node, lists.far[i].source_leaf);
   });
 }
 
 template <bool kApproxMath>
 void EpolSolver::near_range_impl(const InteractionLists& lists, std::size_t lo,
                                  std::size_t hi, double& sum) const {
-  const PointsSoA& a = prep_->atoms_soa;
-  const auto nodes = prep_->atoms_tree.nodes();
-  const SimdKernelTable* simd = simd_kernel_table();
-  const SimdKernelTable::EpolNearFn fn =
-      simd != nullptr
-          ? (kApproxMath ? simd->epol_near_approx : simd->epol_near_exact)
-          : nullptr;
+  const SimdKernelTable::EpolNearFn fn = epol_near_fn<kApproxMath>();
   for_each_tile_range(lists.near_tile_start, lo, hi, [&](std::size_t tlo,
                                                          std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i) {
-      const InteractionLists::Near& e = lists.near[i];
-      const OctreeNode& u = nodes[e.target_leaf];
-      const OctreeNode& v = nodes[e.source_leaf];
-      if (fn != nullptr) {
-        sum += fn(a.x.data(), a.y.data(), a.z.data(), prep_->charge.data(),
-                  born_.data(), u.begin, u.end, v.begin, v.end);
-      } else {
-        sum += epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(),
-                                          prep_->charge.data(), born_.data(), u.begin,
-                                          u.end, v.begin, v.end);
-      }
-    }
+    for (std::size_t i = tlo; i < thi; ++i)
+      sum += near_pair<kApproxMath>(fn, lists.near[i].target_leaf,
+                                    lists.near[i].source_leaf);
   });
 }
 
@@ -342,8 +352,10 @@ double EpolSolver::energy_near_range(const InteractionLists& lists, std::size_t 
 }
 
 double EpolSolver::energy_from_lists(const InteractionLists& lists) const {
-  return energy_far_range(lists, 0, lists.far.size()) +
-         energy_near_range(lists, 0, lists.near.size());
+  double raw_far = 0.0, raw_near = 0.0;
+  accumulate_energy_far_range(lists, 0, lists.far.size(), raw_far);
+  accumulate_energy_near_range(lists, 0, lists.near.size(), raw_near);
+  return finish_energy_pair(raw_far, raw_near);
 }
 
 

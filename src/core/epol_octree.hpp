@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/interaction_lists.hpp"
+#include "core/kernels_simd.hpp"
 #include "core/prepared.hpp"
 
 namespace gbpol {
@@ -95,13 +96,24 @@ class EpolSolver {
   // the TraversalMode::kRecursive engine, kept as the A/B baseline.
   double energy_for_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
 
-  // --- Interaction-list engine (TraversalMode::kList, the default) ---------
-  // Same (u_node x v_leaf) decomposition as energy_for_leaf_range, emitted as
-  // flat near/far lists; energy_*_range evaluate chunkable list segments
-  // (already scaled by -tau/2 ke, so partial sums add up to E_pol).
+  // The Fig. 3 walk over atom-tree leaves [leaf_lo, leaf_hi): a target leaf
+  // is exact even when far (line 1 before line 2).
+  static ListBuildParams walk_params(const ApproxParams& params, std::uint32_t leaf_lo,
+                                     std::uint32_t leaf_hi) {
+    return {.far_multiplier = params.epol_far_multiplier(),
+            .exact_at_target_leaf = true,
+            .source_leaf_lo = leaf_lo,
+            .source_leaf_hi = leaf_hi};
+  }
+
+  // --- Walk engine (TraversalMode::kList, the default) ----------------------
+  // Same (u_node x v_leaf) decomposition as energy_for_leaf_range, from
+  // visit_interactions. accumulate_energy_walk evaluates each visit in place
+  // — the one-shot path, which never materializes a list. build_lists emits
+  // the visits as flat near/far lists instead; energy_*_range evaluate
+  // chunkable list segments (already scaled by -tau/2 ke, so partial sums add
+  // up to E_pol).
   InteractionLists build_lists(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
-  InteractionLists build_lists_parallel(ws::Scheduler& sched, std::uint32_t leaf_lo,
-                                        std::uint32_t leaf_hi) const;
   double energy_far_range(const InteractionLists& lists, std::size_t lo,
                           std::size_t hi) const;
   double energy_near_range(const InteractionLists& lists, std::size_t lo,
@@ -117,6 +129,11 @@ class EpolSolver {
   // are wrappers over these, guaranteeing the sequences agree.
   void accumulate_energy_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
                                     double& raw) const;
+  // The walk over leaves [leaf_lo, leaf_hi): far terms into raw_far, near
+  // terms into raw_near — the same two running sums the far and near list
+  // ranges of build_lists(leaf_lo, leaf_hi) fold.
+  void accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
+                              double& raw_far, double& raw_near) const;
   void accumulate_energy_far_range(const InteractionLists& lists, std::size_t lo,
                                    std::size_t hi, double& raw) const;
   void accumulate_energy_near_range(const InteractionLists& lists, std::size_t lo,
@@ -146,7 +163,7 @@ class EpolSolver {
   double bin_radius_floor(int k) const {
     return r_min_ * std::exp(static_cast<double>(k) * log_one_plus_eps_);
   }
-  double far_multiplier() const { return far_multiplier_; }
+  double far_multiplier() const { return walk_.far_multiplier; }
 
  private:
   struct LeafView {
@@ -173,6 +190,16 @@ class EpolSolver {
                         const LeafView& v) const;
   template <bool kApproxMath>
   double binned_far_term(const double* u_bins, const double* v_bins, double d2) const;
+  // One far visit's binned term and one near visit's exact pair sum, shared
+  // by the walk and list evaluators so both round identically.
+  template <bool kApproxMath>
+  double far_term(std::uint32_t u_node, std::uint32_t v_leaf) const;
+  template <bool kApproxMath>
+  double near_pair(SimdKernelTable::EpolNearFn fn, std::uint32_t u_leaf,
+                   std::uint32_t v_leaf) const;
+  template <bool kApproxMath>
+  void walk_impl(std::uint32_t leaf_lo, std::uint32_t leaf_hi, double& raw_far,
+                 double& raw_near) const;
   // Both fold entries one at a time into `sum` (no local partial), so the
   // raw-accumulation entry points above can chain across call boundaries.
   template <bool kApproxMath>
@@ -190,7 +217,7 @@ class EpolSolver {
 
   const Prepared* prep_;
   std::span<const double> born_;
-  double far_multiplier_;
+  ListBuildParams walk_;
   double scale_;  // -tau/2 * ke
   bool approx_math_;
   double r_min_ = 1.0, r_max_ = 1.0;

@@ -22,11 +22,11 @@ struct GBConstants {
 enum class RadiusKernel { kR6, kR4 };
 
 // How the solvers traverse the octrees:
-//  * kList      — one pass over (target tree x source leaves) emits flat
-//                 near/far interaction lists (core/interaction_lists.hpp),
-//                 consumed by batched SoA kernels; far entries evaluate as a
-//                 flat parallel_for, so task granularity is list-chunk sized
-//                 instead of quadrature-leaf sized.
+//  * kList      — one walk over (target tree x source leaves)
+//                 (core/interaction_lists.hpp) whose near visits run the
+//                 batched SoA/SIMD kernels; one-shot runs evaluate inside
+//                 the walk, and callers that reuse the decomposition emit it
+//                 as flat near/far interaction lists.
 //  * kRecursive — the per-source-leaf recursive walk with scalar Vec3
 //                 kernels, kept for A/B benchmarking (bench/micro_kernels,
 //                 bench/fig5_speedup).

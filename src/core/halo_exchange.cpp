@@ -4,6 +4,7 @@
 
 #include "ckpt/snapshot.hpp"
 #include "core/born_octree.hpp"
+#include "core/epol_octree.hpp"
 #include "core/interaction_lists.hpp"
 #include "mpisim/comm.hpp"
 #include "obs/trace.hpp"
@@ -118,7 +119,8 @@ HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
   HaloPlan plan;
   plan.ranks.resize(static_cast<std::size_t>(P));
 
-  const BornSolver born_solver(prep, params);
+  // Only near visits mark leaves; far visits read node-scale aggregates.
+  const auto no_far = [](std::uint32_t, std::uint32_t) {};
   const auto aleaves = prep.atoms_tree.leaves();
   const auto qleaves = prep.q_tree.leaves();
   std::vector<std::uint32_t> aleaf_of(prep.atoms_tree.nodes().size(), 0);
@@ -141,9 +143,11 @@ HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
     for (const std::uint32_t c : plan_born.order[static_cast<std::size_t>(r)]) {
       const Segment seg = born_plan.chunk_range(c);
       for (std::uint32_t l = seg.lo; l < seg.hi; ++l) qpoint_mark[l] = 1;
-      const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-      for (const InteractionLists::Near& nr : lists.near)
-        apoint_mark[aleaf_of[nr.target_leaf]] = 1;
+      visit_interactions(prep.atoms_tree, prep.q_tree,
+                         BornSolver::walk_params(params, seg.lo, seg.hi), no_far,
+                         [&](std::uint32_t target_leaf, std::uint32_t) {
+                           apoint_mark[aleaf_of[target_leaf]] = 1;
+                         });
     }
 
     // Epol phase: chunk = atom-leaf range; NEAR entries read coordinates,
@@ -152,20 +156,15 @@ HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
     for (const std::uint32_t c : plan_epol.order[static_cast<std::size_t>(r)]) {
       const Segment seg = epol_plan.chunk_range(c);
       for (std::uint32_t l = seg.lo; l < seg.hi; ++l) apoint_mark[l] = 1;
-      const InteractionLists lists = build_interaction_lists(
-          prep.atoms_tree, prep.atoms_tree,
-          {.far_multiplier = params.epol_far_multiplier(),
-           .exact_at_target_leaf = true,
-           .source_leaf_lo = seg.lo,
-           .source_leaf_hi = seg.hi});
-      for (const InteractionLists::Near& nr : lists.near) {
-        const std::uint32_t t = aleaf_of[nr.target_leaf];
-        const std::uint32_t s = aleaf_of[nr.source_leaf];
-        born_mark[t] = 1;
-        born_mark[s] = 1;
-        apoint_mark[t] = 1;
-        apoint_mark[s] = 1;
-      }
+      visit_interactions(prep.atoms_tree, prep.atoms_tree,
+                         EpolSolver::walk_params(params, seg.lo, seg.hi), no_far,
+                         [&](std::uint32_t target_leaf, std::uint32_t source_leaf) {
+                           for (const std::uint32_t l :
+                                {aleaf_of[target_leaf], aleaf_of[source_leaf]}) {
+                             born_mark[l] = 1;
+                             apoint_mark[l] = 1;
+                           }
+                         });
     }
 
     HaloPlan::RankHalo& out = plan.ranks[static_cast<std::size_t>(r)];

@@ -7,9 +7,9 @@
 // OWNS a Morton-contiguous range of octree leaves — the leaves under its
 // kStatic even chunk split, so ownership is independent of the balance
 // policy and identical on every rank — and imports a HALO: exactly the
-// remote data its interaction lists will read.
+// remote data its interaction walks will read.
 //
-// Two kinds of import, mirroring the near/far split of the lists:
+// Two kinds of import, mirroring the near/far split of the walk:
 //   * NEAR entries evaluate exact point kernels, so they need the remote
 //     Born radii (and point payload) of every non-owned atom leaf they
 //     touch. These are the point-level halo, exchanged p2p by
@@ -70,7 +70,7 @@ OwnershipMap make_ownership_map(const Prepared& prep, int ranks,
 
 // Per-rank halo: the sorted-unique NON-owned leaf ordinals a rank's
 // EXECUTOR chunks (post-steal order, so stolen chunks count toward the
-// thief) will read. Built by replaying the exact per-chunk list builds the
+// thief) will read. Built by replaying the exact per-chunk walks the
 // runtime performs, so the sets are neither over- nor under-approximations.
 struct HaloPlan {
   struct RankHalo {

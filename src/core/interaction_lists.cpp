@@ -4,49 +4,7 @@
 
 #include <unistd.h>
 
-#include "ws/parallel_for.hpp"
-
 namespace gbpol {
-namespace {
-
-// Mirrors the recursive engines' traversal: depth-first over the target tree
-// with the opening criterion evaluated against one fixed source leaf. Child
-// visit order matches OctreeNode's child layout, so entries come out in the
-// exact order the recursion evaluates terms.
-void walk_target(const Octree& target, const OctreeNode& src,
-                 std::uint32_t source_leaf_id, std::uint32_t target_node_id,
-                 const ListBuildParams& params, InteractionLists& out) {
-  const OctreeNode& t = target.node(target_node_id);
-  if (params.exact_at_target_leaf && t.is_leaf()) {
-    out.near.push_back({target_node_id, source_leaf_id});
-    out.near_point_pairs += static_cast<std::uint64_t>(t.count()) * src.count();
-    return;
-  }
-  const double d2 = distance2(t.centroid, src.centroid);
-  const double reach = (t.radius + src.radius) * params.far_multiplier;
-  if (d2 > reach * reach) {
-    out.far.push_back({target_node_id, source_leaf_id});
-    return;
-  }
-  if (t.is_leaf()) {
-    out.near.push_back({target_node_id, source_leaf_id});
-    out.near_point_pairs += static_cast<std::uint64_t>(t.count()) * src.count();
-    return;
-  }
-  for (std::uint8_t c = 0; c < t.child_count; ++c)
-    walk_target(target, src, source_leaf_id,
-                static_cast<std::uint32_t>(t.first_child) + c, params, out);
-}
-
-void build_range(const Octree& target, const Octree& source,
-                 const ListBuildParams& params, std::uint32_t leaf_lo,
-                 std::uint32_t leaf_hi, InteractionLists& out) {
-  const auto leaves = source.leaves();
-  for (std::uint32_t i = leaf_lo; i < leaf_hi; ++i)
-    walk_target(target, source.node(leaves[i]), leaves[i], 0, params, out);
-}
-
-}  // namespace
 
 void InteractionLists::append(InteractionLists&& other) {
   far.insert(far.end(), other.far.begin(), other.far.end());
@@ -116,47 +74,14 @@ void InteractionLists::build_tiles(const Octree& target, const Octree& source,
 InteractionLists build_interaction_lists(const Octree& target, const Octree& source,
                                          const ListBuildParams& params) {
   InteractionLists lists;
-  if (target.empty() || source.empty()) return lists;
-  build_range(target, source, params, params.source_leaf_lo, params.source_leaf_hi,
-              lists);
-  return lists;
-}
-
-InteractionLists build_interaction_lists_parallel(ws::Scheduler& sched,
-                                                  const Octree& target,
-                                                  const Octree& source,
-                                                  const ListBuildParams& params) {
-  InteractionLists lists;
-  if (target.empty() || source.empty() ||
-      params.source_leaf_lo >= params.source_leaf_hi)
-    return lists;
-
-  const std::uint32_t n_leaves = params.source_leaf_hi - params.source_leaf_lo;
-  // Fixed chunking (independent of worker count) keeps the concatenation
-  // order — and therefore the evaluated FP sum order — deterministic.
-  const std::uint32_t chunk = std::max<std::uint32_t>(
-      1, n_leaves / static_cast<std::uint32_t>(8 * sched.num_workers()));
-  const std::uint32_t n_chunks = (n_leaves + chunk - 1) / chunk;
-
-  std::vector<InteractionLists> parts(n_chunks);
-  ws::parallel_for(sched, 0, n_chunks, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t leaf_lo =
-          params.source_leaf_lo + static_cast<std::uint32_t>(i) * chunk;
-      const std::uint32_t leaf_hi =
-          std::min(leaf_lo + chunk, params.source_leaf_hi);
-      build_range(target, source, params, leaf_lo, leaf_hi, parts[i]);
-    }
-  });
-
-  std::size_t far_total = 0, near_total = 0;
-  for (const InteractionLists& part : parts) {
-    far_total += part.far.size();
-    near_total += part.near.size();
-  }
-  lists.far.reserve(far_total);
-  lists.near.reserve(near_total);
-  for (InteractionLists& part : parts) lists.append(std::move(part));
+  visit_interactions(
+      target, source, params,
+      [&](std::uint32_t t, std::uint32_t s) { lists.far.push_back({t, s}); },
+      [&](std::uint32_t t, std::uint32_t s) {
+        lists.near.push_back({t, s});
+        lists.near_point_pairs +=
+            static_cast<std::uint64_t>(target.node(t).count()) * source.node(s).count();
+      });
   return lists;
 }
 

@@ -1,21 +1,27 @@
-// Interaction-list traversal engine.
+// The interaction walk: one target-tree traversal per source leaf, shared by
+// every consumer of the near/far decomposition.
 //
-// The seed re-walked the target octree recursively for EVERY source leaf
-// (BornSolver::approx_integrals over q-tree leaves, EpolSolver::recurse_single
-// over atom-tree leaves). This module separates TRAVERSAL from EVALUATION, the
-// split production FMM-family codes use (DASHMM, Tinker-HP — see PAPERS.md):
-// one pass over (target tree x source leaves) emits
+// The paper's APPROX-INTEGRALS (Fig. 2) and APPROX-EPOL (Fig. 3) are one
+// depth-first walk of the target octree per source leaf: a target node that
+// passes the opening criterion against the source leaf is FAR (one
+// aggregated term), a target leaf that does not is NEAR (exact point-by-point
+// kernels). visit_interactions is that walk, and it has three kinds of
+// consumer:
 //
-//   * a flat FAR list of (target_node, source_leaf) pairs — the node pairs the
-//     opening criterion approximates with one aggregated term, and
-//   * a flat NEAR list of (target_leaf, source_leaf) pairs — the leaf pairs
-//     that need exact point-by-point kernels.
+//   * evaluate — BornSolver::accumulate_walk and
+//     EpolSolver::accumulate_energy_walk compute each term inside the
+//     callback. One-shot routes (serial, every chunk of the chunk-fold
+//     driver) take this path and never materialize a list.
+//   * emit — build_interaction_lists writes the visits into flat FAR
+//     (target_node, source_leaf) and NEAR (target_leaf, source_leaf) lists,
+//     for callers that stream the same decomposition more than once
+//     (TrajectoryDriver's incremental refresh, the traced layer benchmark).
+//   * count — count_interactions tallies the visits: chunk pricing and the
+//     halo plan need only the counts or the near leaves.
 //
-// The lists are then consumed by cache-blocked batched kernels (approx_math)
-// and chunked parallel_for loops, so intra-node task granularity is bounded by
-// list length instead of source-leaf count. Entries are emitted in exactly the
-// order the recursive engines visit them, so list evaluation reproduces the
-// recursive result up to FP reassociation (tests pin <= 1e-12 relative).
+// Every consumer sees the visits in the same order, so evaluating in the walk
+// and evaluating an emitted list run the same sequence of += on every
+// accumulator slot.
 #pragma once
 
 #include <algorithm>
@@ -23,13 +29,96 @@
 #include <vector>
 
 #include "octree/octree.hpp"
-#include "support/arena.hpp"
 #include "support/memtrack.hpp"
 
 namespace gbpol {
 
-namespace ws {
-class Scheduler;
+struct ListBuildParams {
+  double far_multiplier = 1.0;
+  // APPROX-EPOL (Fig. 3) evaluates target LEAVES exactly before applying the
+  // far test; APPROX-INTEGRALS (Fig. 2) applies the far test first, so even a
+  // target leaf can become a far entry. true mirrors the former.
+  bool exact_at_target_leaf = false;
+  // Source leaves [lo, hi) (indices into source.leaves()) to traverse —
+  // the same segmentation the chunk plans use.
+  std::uint32_t source_leaf_lo = 0;
+  std::uint32_t source_leaf_hi = 0;
+
+  // The same walk over source leaves [lo, hi).
+  ListBuildParams over(std::uint32_t lo, std::uint32_t hi) const {
+    ListBuildParams p = *this;
+    p.source_leaf_lo = lo;
+    p.source_leaf_hi = hi;
+    return p;
+  }
+};
+
+namespace detail {
+
+// Depth-first over the target subtree at `target_node_id` with the opening
+// criterion evaluated against one fixed source leaf. Children are visited in
+// OctreeNode's child layout order.
+template <typename OnFar, typename OnNear>
+inline void visit_target_subtree(const Octree& target, const OctreeNode& src,
+                                 std::uint32_t source_leaf_id,
+                                 std::uint32_t target_node_id,
+                                 const ListBuildParams& params, OnFar& on_far,
+                                 OnNear& on_near) {
+  const OctreeNode& t = target.node(target_node_id);
+  if (params.exact_at_target_leaf && t.is_leaf()) {
+    on_near(target_node_id, source_leaf_id);
+    return;
+  }
+  const double d2 = distance2(t.centroid, src.centroid);
+  const double reach = (t.radius + src.radius) * params.far_multiplier;
+  if (d2 > reach * reach) {
+    on_far(target_node_id, source_leaf_id);
+    return;
+  }
+  if (t.is_leaf()) {
+    on_near(target_node_id, source_leaf_id);
+    return;
+  }
+  for (std::uint8_t c = 0; c < t.child_count; ++c)
+    visit_target_subtree(target, src, source_leaf_id,
+                         static_cast<std::uint32_t>(t.first_child) + c, params, on_far,
+                         on_near);
+}
+
+}  // namespace detail
+
+// Walks the target tree once per source leaf in [source_leaf_lo,
+// source_leaf_hi), ascending, calling on_far(target_node, source_leaf) and
+// on_near(target_leaf, source_leaf) with node ids in visit order.
+template <typename OnFar, typename OnNear>
+inline void visit_interactions(const Octree& target, const Octree& source,
+                               const ListBuildParams& params, OnFar&& on_far,
+                               OnNear&& on_near) {
+  if (target.empty() || source.empty()) return;
+  const auto leaves = source.leaves();
+  for (std::uint32_t i = params.source_leaf_lo; i < params.source_leaf_hi; ++i)
+    detail::visit_target_subtree(target, source.node(leaves[i]), leaves[i], 0, params,
+                                 on_far, on_near);
+}
+
+// What the walk over a source-leaf range visits.
+struct InteractionCounts {
+  std::uint64_t far = 0;               // far (target_node, source_leaf) visits
+  std::uint64_t near = 0;              // near (target_leaf, source_leaf) visits
+  std::uint64_t near_point_pairs = 0;  // exact point pairs the near visits cover
+};
+
+inline InteractionCounts count_interactions(const Octree& target, const Octree& source,
+                                            const ListBuildParams& params) {
+  InteractionCounts n;
+  visit_interactions(
+      target, source, params, [&](std::uint32_t, std::uint32_t) { ++n.far; },
+      [&](std::uint32_t t, std::uint32_t s) {
+        ++n.near;
+        n.near_point_pairs +=
+            static_cast<std::uint64_t>(target.node(t).count()) * source.node(s).count();
+      });
+  return n;
 }
 
 struct InteractionLists {
@@ -44,12 +133,8 @@ struct InteractionLists {
     std::uint32_t source_leaf = 0;
   };
 
-  // Arena-backed (support/arena.hpp): the lists are the largest transient hot
-  // array — built once, streamed every evaluation — so they live in mmap'd
-  // page slabs, first-touch placed on the building worker and accounted by
-  // arena_mapped_bytes() rather than the general heap.
-  ArenaVector<Far> far;
-  ArenaVector<Near> near;
+  std::vector<Far> far;
+  std::vector<Near> near;
 
   // Exact point pairs the near list will evaluate (for stats / grain tuning).
   std::uint64_t near_point_pairs = 0;
@@ -112,29 +197,9 @@ inline void for_each_tile_range(const std::vector<std::uint32_t>& starts,
   }
 }
 
-struct ListBuildParams {
-  double far_multiplier = 1.0;
-  // APPROX-EPOL (Fig. 3) evaluates target LEAVES exactly before applying the
-  // far test; APPROX-INTEGRALS (Fig. 2) applies the far test first, so even a
-  // target leaf can become a far entry. true mirrors the former.
-  bool exact_at_target_leaf = false;
-  // Source leaves [lo, hi) (indices into source.leaves()) to traverse —
-  // the same segmentation the distributed work divisions use.
-  std::uint32_t source_leaf_lo = 0;
-  std::uint32_t source_leaf_hi = 0;
-};
-
-// Serial build: walks the target tree once per source leaf in index order.
+// Emits the walk over the source-leaf range as flat far/near lists, in
+// visit order.
 InteractionLists build_interaction_lists(const Octree& target, const Octree& source,
                                          const ListBuildParams& params);
-
-// Parallel build over the pool: source-leaf chunks are traversed concurrently
-// into per-chunk lists (disjoint slots of a pre-sized array — lock-free) and
-// concatenated in chunk order, so the result is IDENTICAL to the serial build
-// regardless of worker count.
-InteractionLists build_interaction_lists_parallel(ws::Scheduler& sched,
-                                                  const Octree& target,
-                                                  const Octree& source,
-                                                  const ListBuildParams& params);
 
 }  // namespace gbpol

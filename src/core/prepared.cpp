@@ -1,5 +1,8 @@
 #include "core/prepared.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "support/timer.hpp"
 
 namespace gbpol {
@@ -35,6 +38,13 @@ Prepared Prepared::build(const Molecule& mol, const surface::SurfaceQuadrature& 
 Prepared Prepared::build(const Molecule& mol, const surface::SurfaceQuadrature& quad,
                          std::uint32_t leaf_capacity, const Aabb& atoms_domain,
                          const Aabb& q_domain) {
+  // Without quadrature points every Born integral is zero and every radius
+  // clamps to its cap, which yields a plausible-looking but meaningless
+  // energy. The "numerical" tag classifies it as ErrorClass::kNumerical.
+  if (mol.size() > 0 && quad.size() == 0)
+    throw std::domain_error("numerical: " + std::to_string(mol.size()) +
+                            " atoms but an empty surface quadrature (0 points); "
+                            "the Born integrals are undefined");
   ThreadCpuTimer timer;
   Prepared prep;
 

@@ -130,13 +130,14 @@ TEST_F(BornOctreeTest, StrictCriterionIsMoreAccurateAndDoesMoreWork) {
   ApproxParams strict = loose;
   strict.born_strict_criterion = true;
 
-  const BornSolver loose_solver(fix().prep, loose);
-  const BornSolver strict_solver(fix().prep, strict);
-  const auto n_leaves = static_cast<std::uint32_t>(fix().prep.q_tree.leaves().size());
-  const auto loose_stats = loose_solver.count_qleaf_range(0, n_leaves);
-  const auto strict_stats = strict_solver.count_qleaf_range(0, n_leaves);
-  EXPECT_GT(strict_stats.exact_pairs, loose_stats.exact_pairs);
-  EXPECT_LE(strict_stats.far_terms, loose_stats.far_terms * 4 + 16);
+  const Prepared& prep = fix().prep;
+  const auto n_leaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
+  const InteractionCounts loose_stats = count_interactions(
+      prep.atoms_tree, prep.q_tree, BornSolver::walk_params(loose, 0, n_leaves));
+  const InteractionCounts strict_stats = count_interactions(
+      prep.atoms_tree, prep.q_tree, BornSolver::walk_params(strict, 0, n_leaves));
+  EXPECT_GT(strict_stats.near_point_pairs, loose_stats.near_point_pairs);
+  EXPECT_LE(strict_stats.far, loose_stats.far * 4 + 16);
 }
 
 TEST_F(BornOctreeTest, R4KernelMatchesNaiveR4) {

@@ -1,21 +1,26 @@
-// The list engine's contract (core/interaction_lists.hpp): the flat near/far
+// The walk engine's contract (core/interaction_lists.hpp): the flat near/far
 // lists reproduce the recursive engines' decomposition exactly, so Born radii
-// and E_pol match TraversalMode::kRecursive to <= 1e-12 relative error, the
-// parallel build equals the serial build entry-for-entry, and arbitrary list
-// segmentations sum to the whole.
+// and E_pol match TraversalMode::kRecursive to <= 1e-12 relative error, and
+// arbitrary list segmentations sum to the whole. Walk-evaluate (the one-shot
+// path) equals list-evaluate to 0 ulp in every accumulator slot, over the
+// full range and every chunk of several chunk plans, and the count-only walk
+// reproduces the list sizes.
 #include "core/interaction_lists.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/balance.hpp"
 #include "core/born_octree.hpp"
 #include "core/engine.hpp"
 #include "core/epol_octree.hpp"
+#include "molecule/generate.hpp"
+#include "surface/quadrature.hpp"
 #include "test_helpers.hpp"
-#include "ws/scheduler.hpp"
 
 namespace gbpol {
 namespace {
@@ -109,45 +114,6 @@ TEST_F(InteractionListsTest, EpolMatchesRecursiveAcrossVariants) {
   }
 }
 
-// The lock-free parallel build must produce the IDENTICAL list (same entries,
-// same order) as the serial build — chunks are concatenated deterministically.
-TEST_F(InteractionListsTest, ParallelBuildEqualsSerialBuild) {
-  const Fixture& f = fixtures()[1];
-  ApproxParams params;
-  const BornSolver born_solver(f.prep, params);
-  const std::vector<double> born = naive_born_sorted(f);
-  const EpolSolver epol_solver(f.prep, born, params, GBConstants{});
-  const auto n_qleaves = static_cast<std::uint32_t>(f.prep.q_tree.leaves().size());
-  const auto n_aleaves = static_cast<std::uint32_t>(f.prep.atoms_tree.leaves().size());
-
-  for (const int workers : {2, 4}) {
-    ws::Scheduler sched(workers);
-
-    const InteractionLists serial_b = born_solver.build_lists(0, n_qleaves);
-    const InteractionLists par_b = born_solver.build_lists_parallel(sched, 0, n_qleaves);
-    ASSERT_EQ(serial_b.far.size(), par_b.far.size());
-    ASSERT_EQ(serial_b.near.size(), par_b.near.size());
-    EXPECT_EQ(serial_b.near_point_pairs, par_b.near_point_pairs);
-    for (std::size_t i = 0; i < serial_b.far.size(); ++i) {
-      ASSERT_EQ(serial_b.far[i].target_node, par_b.far[i].target_node) << i;
-      ASSERT_EQ(serial_b.far[i].source_leaf, par_b.far[i].source_leaf) << i;
-    }
-    for (std::size_t i = 0; i < serial_b.near.size(); ++i) {
-      ASSERT_EQ(serial_b.near[i].target_leaf, par_b.near[i].target_leaf) << i;
-      ASSERT_EQ(serial_b.near[i].source_leaf, par_b.near[i].source_leaf) << i;
-    }
-
-    const InteractionLists serial_e = epol_solver.build_lists(0, n_aleaves);
-    const InteractionLists par_e = epol_solver.build_lists_parallel(sched, 0, n_aleaves);
-    ASSERT_EQ(serial_e.far.size(), par_e.far.size());
-    ASSERT_EQ(serial_e.near.size(), par_e.near.size());
-    for (std::size_t i = 0; i < serial_e.far.size(); ++i) {
-      ASSERT_EQ(serial_e.far[i].target_node, par_e.far[i].target_node) << i;
-      ASSERT_EQ(serial_e.far[i].source_leaf, par_e.far[i].source_leaf) << i;
-    }
-  }
-}
-
 // Splitting either list at arbitrary points and evaluating the segments on
 // separate accumulators must merge to the whole-list result — the property
 // the chunked parallel_for in the drivers relies on.
@@ -237,6 +203,179 @@ TEST_F(InteractionListsTest, DriversAgreeAcrossTraversalModes) {
   EXPECT_LE(rel_diff(dist_list.energy, serial_list.energy), 1e-9);
   for (std::size_t i = 0; i < dist_list.born_sorted.size(); ++i)
     EXPECT_LE(rel_diff(dist_list.born_sorted[i], serial_list.born_sorted[i]), 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Walk-evaluate vs list-evaluate, 0 ulp, on the golden molecules
+// (golden_energy_test's three seeded proteins and surface parameters), over
+// the full source-leaf range and every chunk of the 3- and 8-worker plans.
+// The walks are the battery's cost under the sanitizers, so the largest
+// molecule runs only the full range with the default Born kernel, and the
+// other Born kernels run only the full range (the range logic is the walk's,
+// shared by every kernel). A chunk's list entries are the contiguous slice of the full-range list
+// that holds its source leaves (the walk emits source leaves in ascending
+// order — LeafRangePartitionCoversFullList), so one list per molecule serves
+// every chunk; the walk counts are checked against the same slices.
+
+struct Golden {
+  Prepared prep;
+  std::vector<double> born;  // serial-route Born radii, atoms_tree order
+};
+
+class WalkEvaluateTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    goldens_ = new std::vector<Golden>();
+    for (const auto& [n_atoms, seed] :
+         {std::pair{400, 21}, std::pair{1200, 22}, std::pair{3000, 23}}) {
+      const Molecule mol = molgen::synthetic_protein(n_atoms, seed);
+      const surface::SurfaceQuadrature quad = surface::molecular_surface_quadrature(
+          mol, {.grid_spacing = 1.5, .dunavant_degree = 2, .kappa = 2.3});
+      Golden g{Prepared::build(mol, quad, 16), {}};
+      g.born =
+          Engine(g.prep, ApproxParams{}, GBConstants{}).run(serial_options()).born_sorted;
+      goldens_->push_back(std::move(g));
+    }
+  }
+  static void TearDownTestSuite() { delete goldens_; }
+  static const std::vector<Golden>& goldens() { return *goldens_; }
+
+  static bool largest(const Golden& g) { return &g == &goldens().back(); }
+
+  static std::vector<Segment> ranges(const Golden& g, std::uint32_t n_leaves,
+                                     bool chunked = true) {
+    std::vector<Segment> out{{0, n_leaves}};
+    if (!chunked || largest(g)) return out;
+    for (const int workers : {3, 8}) {
+      const ChunkPlan plan = make_chunk_plan(n_leaves, workers, 0);
+      for (std::uint32_t c = 0; c < plan.n_chunks; ++c)
+        out.push_back(plan.chunk_range(c));
+    }
+    return out;
+  }
+
+  static std::vector<Golden>* goldens_;
+};
+std::vector<Golden>* WalkEvaluateTest::goldens_ = nullptr;
+
+// The entries of a full-range list whose source leaf ordinal lies in `seg`.
+struct ListSlice {
+  std::size_t far_lo, far_hi, near_lo, near_hi;
+  std::uint64_t near_point_pairs = 0;
+};
+
+ListSlice slice_of(const InteractionLists& lists, const Octree& target,
+                   const Octree& source, Segment seg) {
+  std::vector<std::uint32_t> ordinal(source.nodes().size(), 0);
+  for (std::uint32_t l = 0; l < source.leaves().size(); ++l)
+    ordinal[source.leaves()[l]] = l;
+  const auto bound = [&](const auto& entries, std::uint32_t leaf) {
+    const auto below = [&](const auto& e) { return ordinal[e.source_leaf] < leaf; };
+    return static_cast<std::size_t>(
+        std::partition_point(entries.begin(), entries.end(), below) - entries.begin());
+  };
+  ListSlice out{bound(lists.far, seg.lo), bound(lists.far, seg.hi),
+                bound(lists.near, seg.lo), bound(lists.near, seg.hi)};
+  for (std::size_t i = out.near_lo; i < out.near_hi; ++i)
+    out.near_point_pairs += static_cast<std::uint64_t>(
+                                target.node(lists.near[i].target_leaf).count()) *
+                            source.node(lists.near[i].source_leaf).count();
+  return out;
+}
+
+::testing::AssertionResult counts_match(const InteractionCounts& n, const ListSlice& s) {
+  if (n.far == s.far_hi - s.far_lo && n.near == s.near_hi - s.near_lo &&
+      n.near_point_pairs == s.near_point_pairs)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "walk counts far=" << n.far << " near=" << n.near
+         << " pairs=" << n.near_point_pairs << ", list far=" << s.far_hi - s.far_lo
+         << " near=" << s.near_hi - s.near_lo << " pairs=" << s.near_point_pairs;
+}
+
+::testing::AssertionResult same_bits(std::span<const double> a,
+                                     std::span<const double> b) {
+  if (a.size() != b.size()) return ::testing::AssertionFailure() << "size differs";
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return ::testing::AssertionFailure()
+             << "slot " << i << ": " << a[i] << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+// Every node_s and atom_s slot, r4/r6 x dipole on/off.
+TEST_F(WalkEvaluateTest, BornSlotsAndCountsMatchListEvaluation) {
+  for (const Golden& g : goldens()) {
+    const Octree& atoms = g.prep.atoms_tree;
+    const Octree& qpts = g.prep.q_tree;
+    for (const RadiusKernel kernel : {RadiusKernel::kR6, RadiusKernel::kR4}) {
+      for (const bool dipole : {false, true}) {
+        const bool default_kernel = kernel == RadiusKernel::kR6 && !dipole;
+        if (!default_kernel && largest(g)) continue;
+        ApproxParams params;
+        params.radius_kernel = kernel;
+        params.born_dipole_correction = dipole;
+        const BornSolver solver(g.prep, params);
+        const auto n_qleaves = static_cast<std::uint32_t>(qpts.leaves().size());
+        const InteractionLists lists = solver.build_lists(0, n_qleaves);
+        for (const Segment seg : ranges(g, n_qleaves, default_kernel)) {
+          const ListSlice slice = slice_of(lists, atoms, qpts, seg);
+          BornAccumulator walked = solver.make_accumulator();
+          solver.accumulate_walk(seg.lo, seg.hi, walked);
+          BornAccumulator listed = solver.make_accumulator();
+          solver.accumulate_far_range(lists, slice.far_lo, slice.far_hi, listed);
+          solver.accumulate_near_range(lists, slice.near_lo, slice.near_hi, listed);
+          ASSERT_TRUE(same_bits(walked.flat(), listed.flat()))
+              << g.prep.num_atoms() << " atoms, q-leaves [" << seg.lo << ", " << seg.hi
+              << ") kernel=" << (kernel == RadiusKernel::kR6 ? "r6" : "r4")
+              << " dipole=" << dipole;
+          if (default_kernel) {
+            const ListBuildParams walk = BornSolver::walk_params(params, seg.lo, seg.hi);
+            ASSERT_TRUE(counts_match(count_interactions(atoms, qpts, walk), slice))
+                << g.prep.num_atoms() << " atoms, q-leaves [" << seg.lo << ", " << seg.hi
+                << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// raw_far and raw_near, with exact and approximate math; the full-range
+// energy also matches energy_from_lists.
+TEST_F(WalkEvaluateTest, EpolRawSumsAndCountsMatchListEvaluation) {
+  for (const Golden& g : goldens()) {
+    const Octree& atoms = g.prep.atoms_tree;
+    const auto n_aleaves = static_cast<std::uint32_t>(atoms.leaves().size());
+    for (const bool approx_math : {false, true}) {
+      ApproxParams params;
+      params.approx_math = approx_math;
+      const EpolSolver solver(g.prep, g.born, params, GBConstants{});
+      const InteractionLists lists = solver.build_lists(0, n_aleaves);
+      for (const Segment seg : ranges(g, n_aleaves)) {
+        const ListSlice slice = slice_of(lists, atoms, atoms, seg);
+        double walk_far = 0.0, walk_near = 0.0;
+        solver.accumulate_energy_walk(seg.lo, seg.hi, walk_far, walk_near);
+        double list_far = 0.0, list_near = 0.0;
+        solver.accumulate_energy_far_range(lists, slice.far_lo, slice.far_hi, list_far);
+        solver.accumulate_energy_near_range(lists, slice.near_lo, slice.near_hi,
+                                            list_near);
+        const double walked[] = {walk_far, walk_near};
+        const double listed[] = {list_far, list_near};
+        ASSERT_TRUE(same_bits(walked, listed))
+            << g.prep.num_atoms() << " atoms, leaves [" << seg.lo << ", " << seg.hi
+            << ") approx_math=" << approx_math;
+        const ListBuildParams walk = EpolSolver::walk_params(params, seg.lo, seg.hi);
+        ASSERT_TRUE(counts_match(count_interactions(atoms, atoms, walk), slice))
+            << g.prep.num_atoms() << " atoms, leaves [" << seg.lo << ", " << seg.hi << ")";
+        if (seg.lo == 0 && seg.hi == n_aleaves) {
+          const double energy = solver.finish_energy_pair(walk_far, walk_near);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(energy),
+                    std::bit_cast<std::uint64_t>(solver.energy_from_lists(lists)));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 // aggregates, and the closed-surface Gauss identity.
 #include "core/prepared.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
+#include "core/engine.hpp"
+#include "core/naive.hpp"
+#include "harness/campaign.hpp"
 #include "test_helpers.hpp"
 
 namespace gbpol {
@@ -91,6 +97,42 @@ TEST_F(PreparedTest, FootprintCountsEveryArray) {
   const std::size_t bytes = prep.replicated_footprint().bytes;
   EXPECT_GT(bytes, prep.num_atoms() * (sizeof(Vec3) + 2 * sizeof(double)));
   EXPECT_GT(bytes, prep.num_qpoints() * sizeof(Vec3));
+}
+
+// Two opposite unit charges `separation` Angstrom apart on the x axis.
+Molecule ion_pair(double separation) {
+  return Molecule("ion_pair", {Atom{Vec3{0, 0, 0}, 1.5, 1.0},
+                               Atom{Vec3{separation, 0, 0}, 1.5, -1.0}});
+}
+
+// An ion pair far enough apart that the surface grid comes back empty must
+// be rejected with a kNumerical-typed error, not answered: with no
+// quadrature points every Born radius clamps to its cap and the energy is a
+// small, silent, wrong number. The same pair 1e6 Angstrom apart still has a
+// surface, and its octree energy matches the naive reference.
+TEST(PreparedEmptySurfaceTest, IonPairWithEmptySurfaceIsANumericalError) {
+  const Molecule near_pair = ion_pair(1e6);
+  const surface::SurfaceQuadrature near_quad =
+      surface::molecular_surface_quadrature(near_pair);
+  ASSERT_GT(near_quad.size(), 0u);
+  const Prepared prep = Prepared::build(near_pair, near_quad, 32);
+  const GBConstants constants;
+  const RunResult run = Engine(prep, ApproxParams{}, constants).run(serial_options());
+  const NaiveResult naive = run_naive(near_pair, near_quad, constants);
+  ASSERT_TRUE(std::isfinite(run.energy));
+  EXPECT_LT(run.energy, -100.0);
+  EXPECT_NEAR(run.energy, naive.energy, 1e-6 * std::abs(naive.energy));
+
+  const Molecule far_pair = ion_pair(1e12);
+  const surface::SurfaceQuadrature far_quad =
+      surface::molecular_surface_quadrature(far_pair);
+  ASSERT_EQ(far_quad.size(), 0u);
+  try {
+    (void)Prepared::build(far_pair, far_quad, 32);
+    FAIL() << "an empty surface quadrature was accepted";
+  } catch (const std::domain_error& e) {
+    EXPECT_EQ(harness::Campaign::classify(e), ErrorClass::kNumerical) << e.what();
+  }
 }
 
 TEST(Mat3Test, OuterTraceAndQuadraticForm) {
