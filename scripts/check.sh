@@ -15,6 +15,10 @@
 # the same test labels so the SoA fallback stays healthy. The long randomized
 # soak campaigns and the coverage gate are opt-in.
 #
+# The bench self-gates are timing-sensitive on a shared host, so each one
+# runs even when an earlier one failed; the script then exits non-zero and
+# lists every failed gate. Every other stage stops the script at once.
+#
 #   scripts/check.sh             release + asan + tsan presets
 #   scripts/check.sh --fast      release preset only
 #   scripts/check.sh --soak      also build the soak preset and run `-L soak`
@@ -92,6 +96,18 @@ if grep -nE 'Prepared::build' \
   exit 1
 fi
 
+FAILED_GATES=()
+# Runs one bench self-gate in build/bench; a failure is recorded and reported
+# at the end instead of hiding the gates after it.
+bench_gate() {
+  local name=$1
+  shift
+  if ! (cd build/bench && "$@"); then
+    echo "check.sh: bench gate ${name} FAILED" >&2
+    FAILED_GATES+=("${name}")
+  fi
+}
+
 for preset in "${PRESETS[@]}"; do
   echo "=== ${preset}: configure + build ==="
   cmake --preset "${preset}"
@@ -103,21 +119,21 @@ done
 echo "=== balance_stress: skew-bench smoke run (release build) ==="
 # Runs the 8-rank balance A/B; the binary itself fails unless the three
 # policies agree to the bit AND kSteal beats kStatic by >= 1.3x makespan.
-(cd build/bench && ./balance_stress)
+bench_gate balance_stress ./balance_stress
 
 echo "=== fig_memory_scaling: owned-mode footprint self-gate (release build) ==="
 # Owned-vs-replicated per-rank footprint at P = 1..8 on a >= 50k-point
 # molecule; writes bench_out/memory_scaling.json and exits non-zero unless
 # every point matches the replicated canonical energy to the bit AND the
 # 8-rank ratio holds the <= 0.35x acceptance target.
-(cd build/bench && ./fig_memory_scaling)
+bench_gate fig_memory_scaling ./fig_memory_scaling
 
 echo "=== fig_trajectory: incremental-vs-cold amortization self-gate (release build) ==="
 # ~10k-atom receptor/ligand complex, ligand jiggling below the skin margin;
 # writes bench_out/trajectory.json and exits non-zero unless every frame is
 # 0-ulp identical between ReuseMode::kIncremental and kCold AND the median
 # incremental step costs <= 25% of the median cold re-preparation step.
-(cd build/bench && ./fig_trajectory)
+bench_gate fig_trajectory ./fig_trajectory
 
 echo "=== fig_serving: batched+cached serving self-gate (release build) ==="
 # Multi-tenant request mix (cold, exact repeats, jittered poses) through
@@ -126,19 +142,19 @@ echo "=== fig_serving: batched+cached serving self-gate (release build) ==="
 # 0-ulp against its path-appropriate twin (direct cold run, or the mirror
 # kCold TrajectoryDriver for delta routes) AND batched+cached throughput
 # holds the >= 3x acceptance target.
-(cd build/bench && ./fig_serving)
+bench_gate fig_serving ./fig_serving
 
 echo "=== micro_kernels: SIMD-vs-SoA self-gate (release build) ==="
 # --benchmark_filter matching nothing skips the google-benchmark timings;
 # only the kernel A/B + JSON + gate path runs. The binary exits non-zero if
 # the gated kernel (epol_near_exact) dispatches SIMD below 2x over SoA; on a
 # host without AVX2 the gate self-skips (dispatch falls back to SoA).
-(cd build/bench && ./micro_kernels --benchmark_filter='^$')
+bench_gate micro_kernels ./micro_kernels --benchmark_filter='^$'
 
 echo "=== ablation_approx_math: primitive accuracy/speed point (fast mode) ==="
 # Records the scalar fast_* vs SIMD rsqrt-Newton/exp accuracy and throughput
 # to bench_out/ablation_math_primitives.json without the molecule suite.
-(cd build/bench && GBPOL_ABLATION_FAST=1 ./ablation_approx_math)
+bench_gate ablation_approx_math env GBPOL_ABLATION_FAST=1 ./ablation_approx_math
 
 echo "=== scalar: forced-SoA fallback build + tests ==="
 # GBPOL_SIMD=OFF at configure time compiles the stub TU (no AVX2 code in the
@@ -167,4 +183,8 @@ if [[ ${RUN_COVERAGE} -eq 1 ]]; then
   scripts/coverage.sh build-coverage 85
 fi
 
+if [[ ${#FAILED_GATES[@]} -gt 0 ]]; then
+  echo "check.sh: failed bench gates: ${FAILED_GATES[*]}" >&2
+  exit 1
+fi
 echo "check.sh: all requested presets passed"

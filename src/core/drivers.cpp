@@ -228,18 +228,21 @@ struct PhasePlans {
 };
 
 // Chunk cost estimates from a count-only walk: a source leaf costs its
-// near-field point pairs (target points x source points per near visit)
-// plus one aggregated evaluation per source point for each far visit.
-// Occupancy x total — the coarser interaction_costs overload — under-prices
-// dense regions, because near-field work grows with the neighbourhood's
-// density, not just the leaf's own count. The walk is pure geometry (no Born
-// values), so the E_pol costs are known before phase 1 runs.
-std::vector<double> chunk_costs(const Octree& target, const Octree& source,
-                                const ChunkPlan& plan, const ListBuildParams& walk) {
+// near-field point pairs (target points x source points per evaluated near
+// visit) plus one aggregated evaluation per source point for each far visit.
+// `count(l)` returns source leaf l's walk counts: count_interactions for
+// Born, count_half_pair_interactions for E_pol, whose weight-0 visits cost
+// nothing. Occupancy x total — the coarser interaction_costs overload —
+// under-prices dense regions, because near-field work grows with the
+// neighbourhood's density, not just the leaf's own count. The walk is pure
+// geometry (no Born values), so the E_pol costs are known before phase 1 runs.
+template <typename Count>
+std::vector<double> chunk_costs(const Octree& source, const ChunkPlan& plan,
+                                Count&& count) {
   const auto leaves = source.leaves();
   std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
   for (std::uint32_t l = 0; l < leaves.size(); ++l) {
-    const InteractionCounts n = count_interactions(target, source, walk.over(l, l + 1));
+    const InteractionCounts n = count(l);
     per_leaf[l] = n.near_point_pairs + n.far * source.node(leaves[l]).count();
   }
   const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
@@ -269,11 +272,16 @@ PhasePlans plan_phases(const Prepared& prep, const ApproxParams& params,
   std::vector<double> born_costs(plans.born.chunks.n_chunks, 0.0);
   std::vector<double> epol_costs(plans.epol.chunks.n_chunks, 0.0);
   if (options.balance != BalancePolicy::kStatic) {
-    born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, plans.born.chunks,
-                             BornSolver::walk_params(params, 0, 0));
-    if (!atom_epol)
-      epol_costs = chunk_costs(prep.atoms_tree, prep.atoms_tree, plans.epol.chunks,
-                               EpolSolver::walk_params(params, 0, 0));
+    const ListBuildParams born_walk = BornSolver::walk_params(params, 0, 0);
+    born_costs = chunk_costs(prep.q_tree, plans.born.chunks, [&](std::uint32_t l) {
+      return count_interactions(prep.atoms_tree, prep.q_tree, born_walk.over(l, l + 1));
+    });
+    if (!atom_epol) {
+      const ListBuildParams epol_walk = EpolSolver::walk_params(params, 0, 0);
+      epol_costs = chunk_costs(prep.atoms_tree, plans.epol.chunks, [&](std::uint32_t l) {
+        return count_half_pair_interactions(prep.atoms_tree, epol_walk.over(l, l + 1));
+      });
+    }
   }
   for (auto [plan, costs] : {std::pair{&plans.born, &born_costs},
                              std::pair{&plans.epol, &epol_costs}}) {

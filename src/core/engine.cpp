@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/kernels_simd.hpp"
@@ -51,7 +52,27 @@ std::uint64_t RunResult::total_bytes_sent() const {
   return total;
 }
 
+void check_numerical_result(const RunResult& result) {
+  if (result.killed) return;
+  if (!std::isfinite(result.energy))
+    throw std::domain_error("numerical: the run produced a non-finite energy (" +
+                            std::to_string(result.energy) + " kcal/mol)");
+  for (std::size_t slot = 0; slot < result.born_sorted.size(); ++slot) {
+    const double r = result.born_sorted[slot];
+    if (!std::isfinite(r) || r <= 0.0)
+      throw std::domain_error("numerical: Born radius " + std::to_string(r) +
+                              " at sorted atom slot " + std::to_string(slot) +
+                              " is not finite and positive");
+  }
+}
+
 RunResult Engine::run(const RunOptions& options) const {
+  RunResult result = run_route(options);
+  check_numerical_result(result);
+  return result;
+}
+
+RunResult Engine::run_route(const RunOptions& options) const {
   ApproxParams params = params_;
   params.traversal = options.traversal;
 

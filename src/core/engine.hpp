@@ -250,6 +250,13 @@ struct RunResult {
   std::uint64_t total_bytes_sent() const;
 };
 
+// The result sanity oracle: throws std::domain_error tagged "numerical:"
+// (harness::Campaign::classify maps it to ErrorClass::kNumerical) when a run
+// that was not killed yields a non-finite energy or a non-finite or
+// non-positive Born radius. Engine::run and TrajectoryDriver::step apply it
+// before a result reaches a caller, a memo or a journal.
+void check_numerical_result(const RunResult& result);
+
 class Engine {
  public:
   // The Engine borrows `prep` (it must outlive the Engine) and copies the
@@ -259,9 +266,12 @@ class Engine {
                   const GBConstants& constants = {})
       : prep_(&prep), params_(params), constants_(constants) {}
 
+  // Throws check_numerical_result's error instead of returning a
+  // non-finite energy or Born radius.
   RunResult run(const RunOptions& options = {}) const;
 
  private:
+  RunResult run_route(const RunOptions& options) const;
   const Prepared* prep_;
   ApproxParams params_;
   GBConstants constants_;

@@ -269,29 +269,77 @@ double EpolSolver::far_term(std::uint32_t u_node, std::uint32_t v_leaf) const {
 
 // The dispatched SIMD kernel `fn`, or the SoA template when fn == nullptr.
 template <bool kApproxMath>
-double EpolSolver::near_pair(SimdKernelTable::EpolNearFn fn, std::uint32_t u_leaf,
-                             std::uint32_t v_leaf) const {
+double EpolSolver::near_block(SimdKernelTable::EpolNearFn fn, std::uint32_t row_b,
+                              std::uint32_t row_e, std::uint32_t lane_b,
+                              std::uint32_t lane_e) const {
   const PointsSoA& a = prep_->atoms_soa;
-  const OctreeNode& u = prep_->atoms_tree.node(u_leaf);
-  const OctreeNode& v = prep_->atoms_tree.node(v_leaf);
   if (fn != nullptr)
     return fn(a.x.data(), a.y.data(), a.z.data(), prep_->charge.data(), born_.data(),
-              u.begin, u.end, v.begin, v.end);
+              row_b, row_e, lane_b, lane_e);
   return epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(),
-                                    prep_->charge.data(), born_.data(), u.begin, u.end,
-                                    v.begin, v.end);
+                                    prep_->charge.data(), born_.data(), row_b, row_e,
+                                    lane_b, lane_e);
 }
+
+// Takes near visits in walk order and folds w * (run sum) into raw_near, one
+// kernel call per run (see the header). flush() closes the open run; callers
+// flush once after their last visit, and a new source leaf flushes itself.
+template <bool kApproxMath>
+class EpolSolver::NearRuns {
+ public:
+  NearRuns(const EpolSolver& solver, double& raw_near)
+      : solver_(solver),
+        tree_(solver.prep_->atoms_tree),
+        fn_(epol_near_fn<kApproxMath>()),
+        weights_(tree_, solver.walk_.far_multiplier),
+        raw_near_(raw_near) {}
+
+  void visit(std::uint32_t u_leaf, std::uint32_t v_leaf) {
+    if (v_leaf != weights_.source()) {
+      flush();
+      weights_.set_source(v_leaf);
+    }
+    const int w = weights_.weight(u_leaf);
+    if (w == 0) return;
+    const OctreeNode& u = tree_.node(u_leaf);
+    if (w == run_w_ && u.begin == run_e_) {
+      run_e_ = u.end;
+      return;
+    }
+    flush();
+    run_w_ = w;
+    run_b_ = u.begin;
+    run_e_ = u.end;
+  }
+
+  void flush() {
+    if (run_w_ == 0) return;
+    const OctreeNode& v = tree_.node(weights_.source());
+    const double sum =
+        solver_.near_block<kApproxMath>(fn_, v.begin, v.end, run_b_, run_e_);
+    raw_near_ += run_w_ == 2 ? 2.0 * sum : sum;
+    run_w_ = 0;
+  }
+
+ private:
+  const EpolSolver& solver_;
+  const Octree& tree_;
+  SimdKernelTable::EpolNearFn fn_;
+  HalfPairWeights weights_;
+  double& raw_near_;
+  int run_w_ = 0;  // 0: no open run
+  std::uint32_t run_b_ = 0, run_e_ = 0;
+};
 
 template <bool kApproxMath>
 void EpolSolver::walk_impl(std::uint32_t leaf_lo, std::uint32_t leaf_hi, double& raw_far,
                            double& raw_near) const {
-  const SimdKernelTable::EpolNearFn fn = epol_near_fn<kApproxMath>();
+  NearRuns<kApproxMath> runs(*this, raw_near);
   visit_interactions(
       prep_->atoms_tree, prep_->atoms_tree, walk_.over(leaf_lo, leaf_hi),
       [&](std::uint32_t u, std::uint32_t v) { raw_far += far_term<kApproxMath>(u, v); },
-      [&](std::uint32_t u, std::uint32_t v) {
-        raw_near += near_pair<kApproxMath>(fn, u, v);
-      });
+      [&](std::uint32_t u, std::uint32_t v) { runs.visit(u, v); });
+  runs.flush();
 }
 
 void EpolSolver::accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
@@ -314,13 +362,10 @@ void EpolSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
 template <bool kApproxMath>
 void EpolSolver::near_range_impl(const InteractionLists& lists, std::size_t lo,
                                  std::size_t hi, double& sum) const {
-  const SimdKernelTable::EpolNearFn fn = epol_near_fn<kApproxMath>();
-  for_each_tile_range(lists.near_tile_start, lo, hi, [&](std::size_t tlo,
-                                                         std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i)
-      sum += near_pair<kApproxMath>(fn, lists.near[i].target_leaf,
-                                    lists.near[i].source_leaf);
-  });
+  NearRuns<kApproxMath> runs(*this, sum);
+  for (std::size_t i = lo; i < hi; ++i)
+    runs.visit(lists.near[i].target_leaf, lists.near[i].source_leaf);
+  runs.flush();
 }
 
 void EpolSolver::accumulate_energy_far_range(const InteractionLists& lists,

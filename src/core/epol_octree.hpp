@@ -113,6 +113,14 @@ class EpolSolver {
   // the visits as flat near/far lists instead; energy_*_range evaluate
   // chunkable list segments (already scaled by -tau/2 ke, so partial sums add
   // up to E_pol).
+  //
+  // Near visits are evaluated as half pairs (HalfPairWeights): a mutual near
+  // leaf pair is computed once, by its lower-id target's visit, at weight 2.
+  // Each source leaf v's consecutive near visits with the same nonzero weight
+  // and abutting atom ranges form one run, evaluated by one kernel call with
+  // v's atoms as rows and the run's atoms as lanes. Runs never cross a source
+  // leaf, so any source-leaf range (a chunk) gives the same near sum walked
+  // or listed; the near tile index is not used.
   InteractionLists build_lists(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
   double energy_far_range(const InteractionLists& lists, std::size_t lo,
                           std::size_t hi) const;
@@ -190,13 +198,19 @@ class EpolSolver {
                         const LeafView& v) const;
   template <bool kApproxMath>
   double binned_far_term(const double* u_bins, const double* v_bins, double d2) const;
-  // One far visit's binned term and one near visit's exact pair sum, shared
-  // by the walk and list evaluators so both round identically.
+  // One far visit's binned term and the exact pair sum of rows [row_b,
+  // row_e) x lanes [lane_b, lane_e), shared by the walk and list evaluators
+  // so both round identically.
   template <bool kApproxMath>
   double far_term(std::uint32_t u_node, std::uint32_t v_leaf) const;
   template <bool kApproxMath>
-  double near_pair(SimdKernelTable::EpolNearFn fn, std::uint32_t u_leaf,
-                   std::uint32_t v_leaf) const;
+  double near_block(SimdKernelTable::EpolNearFn fn, std::uint32_t row_b,
+                    std::uint32_t row_e, std::uint32_t lane_b,
+                    std::uint32_t lane_e) const;
+  // The half-pair near evaluator both walk_impl and near_range_impl feed
+  // their near visits to (defined in epol_octree.cpp).
+  template <bool kApproxMath>
+  class NearRuns;
   template <bool kApproxMath>
   void walk_impl(std::uint32_t leaf_lo, std::uint32_t leaf_hi, double& raw_far,
                  double& raw_near) const;

@@ -82,7 +82,10 @@ struct TrajectoryDriver::Caches {
   // (not per-source-leaf segments): under the APPROX-EPOL criterion target
   // LEAVES are evaluated exactly at any distance, so a single source leaf's
   // entries reference leaves all over the tree and one touched leaf anywhere
-  // would dirty every coarser-grained segment.
+  // would dirty every coarser-grained segment. A partial is the entry's
+  // half-pair weighted sum (EpolSolver's near evaluator on a one-entry
+  // range): 0 for a weight-0 entry, and a weight-2 entry also carries its
+  // partner's pairs, which share its two leaves and so its dirtiness.
   std::vector<double> entry_partial;
   bool partials_valid = false;
 
@@ -376,6 +379,7 @@ RunResult TrajectoryDriver::step(std::span<const Vec3> positions,
     } else {
       result = evaluate_engine(options);
     }
+    check_numerical_result(result);
     if (journal_) {
       char detail[32];
       std::snprintf(detail, sizeof(detail), "e=%016" PRIx64,

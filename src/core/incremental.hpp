@@ -109,6 +109,9 @@ class TrajectoryDriver {
   // Engine::run on the delta-maintained Prepared with
   // checkpoint.job_salt = step index. Returns the step's RunResult with the
   // dirty_leaves / lists_rebuilt / reused_fraction accounting filled in.
+  // A non-finite energy or Born radius throws check_numerical_result's
+  // std::domain_error (core/engine.hpp) instead of being returned or
+  // journaled.
   RunResult step(std::span<const Vec3> positions, const RunOptions& options);
   RunResult step(std::span<const Vec3> positions) {
     return step(positions, serial_options());

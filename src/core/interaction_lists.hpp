@@ -19,12 +19,16 @@
 //   * count — count_interactions tallies the visits: chunk pricing and the
 //     halo plan need only the counts or the near leaves.
 //
+// HalfPairWeights gives the symmetric E_pol walk's near visits their
+// half-pair weights, so each mutual near leaf pair is evaluated once.
+//
 // Every consumer sees the visits in the same order, so evaluating in the walk
 // and evaluating an emitted list run the same sequence of += on every
 // accumulator slot.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +57,15 @@ struct ListBuildParams {
   }
 };
 
+// The opening criterion: target node `t` is far from source leaf `src`. The
+// walk and the half-pair mutual test (HalfPairWeights) share this one
+// expression, so they agree on every pair.
+inline bool far_apart(const OctreeNode& t, const OctreeNode& src, double far_multiplier) {
+  const double d2 = distance2(t.centroid, src.centroid);
+  const double reach = (t.radius + src.radius) * far_multiplier;
+  return d2 > reach * reach;
+}
+
 namespace detail {
 
 // Depth-first over the target subtree at `target_node_id` with the opening
@@ -69,9 +82,7 @@ inline void visit_target_subtree(const Octree& target, const OctreeNode& src,
     on_near(target_node_id, source_leaf_id);
     return;
   }
-  const double d2 = distance2(t.centroid, src.centroid);
-  const double reach = (t.radius + src.radius) * params.far_multiplier;
-  if (d2 > reach * reach) {
+  if (far_apart(t, src, params.far_multiplier)) {
     on_far(target_node_id, source_leaf_id);
     return;
   }
@@ -117,6 +128,72 @@ inline InteractionCounts count_interactions(const Octree& target, const Octree& 
         ++n.near;
         n.near_point_pairs +=
             static_cast<std::uint64_t>(target.node(t).count()) * source.node(s).count();
+      });
+  return n;
+}
+
+// Half-pair weights of a symmetric walk: target and source are the same tree
+// and target leaves are exact at any distance (APPROX-EPOL's walk). A near
+// visit (u <- v) is MUTUAL when the walk from source u reaches v as well,
+// i.e. no strict ancestor A of v is far_apart(A, u). Both visits of a mutual
+// pair cover the same point pairs, and the E_pol pair term is symmetric, so
+// one visit carries both: weight 2 when u < v (node ids), 0 when u > v. A
+// self visit (u == v) and a one-way visit keep weight 1. The weights are pure
+// geometry, and sum(w * |u| * |v|) over the near visits of the full walk
+// equals its ordered pair count.
+class HalfPairWeights {
+ public:
+  HalfPairWeights(const Octree& tree, double far_multiplier)
+      : tree_(&tree), far_multiplier_(far_multiplier) {}
+
+  // Makes `v_leaf` the source leaf of the following weight() calls, caching
+  // its strict ancestors (root first) by descending the Morton ranges.
+  void set_source(std::uint32_t v_leaf) {
+    source_ = v_leaf;
+    depth_ = 0;
+    const std::uint32_t slot = tree_->node(v_leaf).begin;
+    for (std::uint32_t id = 0; id != v_leaf;) {
+      chain_[depth_++] = id;
+      auto child = static_cast<std::uint32_t>(tree_->node(id).first_child);
+      while (tree_->node(child).end <= slot) ++child;
+      id = child;
+    }
+  }
+  std::uint32_t source() const { return source_; }
+
+  // Weight of the near visit (u_leaf <- source()).
+  int weight(std::uint32_t u_leaf) const {
+    if (u_leaf == source_) return 1;
+    const OctreeNode& u = tree_->node(u_leaf);
+    // Deepest first: the smallest ancestors are the likeliest to be far.
+    for (std::uint32_t k = depth_; k-- > 0;)
+      if (far_apart(tree_->node(chain_[k]), u, far_multiplier_)) return 1;
+    return u_leaf < source_ ? 2 : 0;
+  }
+
+ private:
+  const Octree* tree_;
+  double far_multiplier_;
+  std::uint32_t source_ = UINT32_MAX;
+  std::uint32_t depth_ = 0;
+  std::array<std::uint32_t, 24> chain_{};  // Octree depth is at most 20
+};
+
+// count_interactions for the symmetric walk, with near point pairs counted as
+// the half-pair evaluator computes them: a weight-0 visit costs nothing and a
+// weight-1 or weight-2 visit one evaluation of |u| * |v| pairs.
+inline InteractionCounts count_half_pair_interactions(const Octree& tree,
+                                                      const ListBuildParams& params) {
+  InteractionCounts n;
+  HalfPairWeights weights(tree, params.far_multiplier);
+  visit_interactions(
+      tree, tree, params, [&](std::uint32_t, std::uint32_t) { ++n.far; },
+      [&](std::uint32_t u, std::uint32_t v) {
+        ++n.near;
+        if (v != weights.source()) weights.set_source(v);
+        if (weights.weight(u) != 0)
+          n.near_point_pairs +=
+              static_cast<std::uint64_t>(tree.node(u).count()) * tree.node(v).count();
       });
   return n;
 }

@@ -1,5 +1,6 @@
 #include "core/prepared.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -38,6 +39,20 @@ Prepared Prepared::build(const Molecule& mol, const surface::SurfaceQuadrature& 
 Prepared Prepared::build(const Molecule& mol, const surface::SurfaceQuadrature& quad,
                          std::uint32_t leaf_capacity, const Aabb& atoms_domain,
                          const Aabb& q_domain) {
+  // A non-finite atom field poisons every energy it touches, and a negative
+  // radius is silently clamped like a zero one; both are input errors.
+  for (std::size_t i = 0; i < mol.size(); ++i) {
+    const Atom& a = mol.atom(i);
+    const auto reject = [i](const char* field, double value) {
+      throw std::domain_error("numerical: atom " + std::to_string(i) + " has " + field +
+                              " " + std::to_string(value));
+    };
+    for (const double c : {a.pos.x, a.pos.y, a.pos.z})
+      if (!std::isfinite(c)) reject("non-finite position coordinate", c);
+    if (!std::isfinite(a.charge)) reject("non-finite charge", a.charge);
+    if (!std::isfinite(a.radius)) reject("non-finite radius", a.radius);
+    if (a.radius < 0.0) reject("negative radius", a.radius);
+  }
   // Without quadrature points every Born integral is zero and every radius
   // clamps to its cap, which yields a plausible-looking but meaningless
   // energy. The "numerical" tag classifies it as ErrorClass::kNumerical.

@@ -68,6 +68,10 @@ struct Prepared {
   // data" scheme (§IV-A): both trees plus all payload arrays.
   MemoryFootprint replicated_footprint() const;
 
+  // Throws std::domain_error tagged "numerical:" (ErrorClass::kNumerical),
+  // naming the atom index and field, for a non-finite position, charge or
+  // radius or a negative radius, and for a non-empty molecule with an empty
+  // quadrature.
   static Prepared build(const Molecule& mol, const surface::SurfaceQuadrature& quad,
                         std::uint32_t leaf_capacity);
 

@@ -4,20 +4,26 @@
 // arbitrary list segmentations sum to the whole. Walk-evaluate (the one-shot
 // path) equals list-evaluate to 0 ulp in every accumulator slot, over the
 // full range and every chunk of several chunk plans, and the count-only walk
-// reproduces the list sizes.
+// reproduces the list sizes. The half-pair E_pol near field weighs a visit
+// 0/1/2 exactly as its partner visit's presence says, sums to the
+// all-ordered-pairs near field, and is priced by what it evaluates.
 #include "core/interaction_lists.hpp"
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/approx_math.hpp"
 #include "core/balance.hpp"
 #include "core/born_octree.hpp"
 #include "core/engine.hpp"
 #include "core/epol_octree.hpp"
+#include "core/kernels_simd.hpp"
 #include "molecule/generate.hpp"
 #include "surface/quadrature.hpp"
 #include "test_helpers.hpp"
@@ -342,7 +348,9 @@ TEST_F(WalkEvaluateTest, BornSlotsAndCountsMatchListEvaluation) {
 }
 
 // raw_far and raw_near, with exact and approximate math; the full-range
-// energy also matches energy_from_lists.
+// energy also matches energy_from_lists. E_pol near evaluation groups by
+// source leaf and ignores the near tile index, so a list re-tiled at several
+// budgets still gives the walk's near sum to the bit.
 TEST_F(WalkEvaluateTest, EpolRawSumsAndCountsMatchListEvaluation) {
   for (const Golden& g : goldens()) {
     const Octree& atoms = g.prep.atoms_tree;
@@ -372,8 +380,139 @@ TEST_F(WalkEvaluateTest, EpolRawSumsAndCountsMatchListEvaluation) {
           const double energy = solver.finish_energy_pair(walk_far, walk_near);
           EXPECT_EQ(std::bit_cast<std::uint64_t>(energy),
                     std::bit_cast<std::uint64_t>(solver.energy_from_lists(lists)));
+          InteractionLists retiled = lists;
+          for (const std::size_t budget : {std::size_t(512), std::size_t(16) << 10}) {
+            retiled.build_tiles(atoms, atoms, {5 * sizeof(double), 5 * sizeof(double), 64},
+                                budget);
+            double tiled_near = 0.0;
+            solver.accumulate_energy_near_range(retiled, 0, retiled.near.size(), tiled_near);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(tiled_near),
+                      std::bit_cast<std::uint64_t>(walk_near))
+                << g.prep.num_atoms() << " atoms, tile budget " << budget;
+          }
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Half-pair E_pol near field (HalfPairWeights), on the golden molecules.
+
+// The kernel the solver dispatches to, over rows [row_b, row_e) x lanes
+// [lane_b, lane_e).
+double near_kernel(const Golden& g, bool approx_math, std::uint32_t row_b,
+                   std::uint32_t row_e, std::uint32_t lane_b, std::uint32_t lane_e) {
+  const PointsSoA& a = g.prep.atoms_soa;
+  const double* q = g.prep.charge.data();
+  const double* born = g.born.data();
+  if (const SimdKernelTable* simd = simd_kernel_table()) {
+    const SimdKernelTable::EpolNearFn fn =
+        approx_math ? simd->epol_near_approx : simd->epol_near_exact;
+    return fn(a.x.data(), a.y.data(), a.z.data(), q, born, row_b, row_e, lane_b, lane_e);
+  }
+  return approx_math ? epol_near_soa<true>(a.x.data(), a.y.data(), a.z.data(), q, born,
+                                           row_b, row_e, lane_b, lane_e)
+                     : epol_near_soa<false>(a.x.data(), a.y.data(), a.z.data(), q, born,
+                                            row_b, row_e, lane_b, lane_e);
+}
+
+// Per near entry of the full-range list: its half-pair weight.
+std::vector<int> entry_weights(const Golden& g, const InteractionLists& lists) {
+  HalfPairWeights weights(g.prep.atoms_tree, ApproxParams{}.epol_far_multiplier());
+  std::vector<int> out;
+  out.reserve(lists.near.size());
+  for (const InteractionLists::Near& e : lists.near) {
+    if (e.source_leaf != weights.source()) weights.set_source(e.source_leaf);
+    out.push_back(weights.weight(e.target_leaf));
+  }
+  return out;
+}
+
+// (a) A visit (u <- v), u != v, is mutual (weight 0 or 2) exactly when the
+// partner visit (v <- u) is in the list too; self visits weigh 1; and a
+// mutual pair's two visits weigh 2 at the lower target id, 0 at the other.
+TEST_F(WalkEvaluateTest, MutualWeightIffPartnerVisitIsListed) {
+  for (const Golden& g : goldens()) {
+    const auto n_aleaves = static_cast<std::uint32_t>(g.prep.atoms_tree.leaves().size());
+    const EpolSolver solver(g.prep, g.born, ApproxParams{}, GBConstants{});
+    const InteractionLists lists = solver.build_lists(0, n_aleaves);
+    const std::vector<int> w = entry_weights(g, lists);
+    std::set<std::pair<std::uint32_t, std::uint32_t>> listed;
+    for (const InteractionLists::Near& e : lists.near)
+      listed.emplace(e.target_leaf, e.source_leaf);
+    std::size_t mutual = 0;
+    for (std::size_t i = 0; i < lists.near.size(); ++i) {
+      const auto [u, v] = lists.near[i];
+      if (u == v) {
+        ASSERT_EQ(w[i], 1) << "self visit of leaf " << u;
+        continue;
+      }
+      const bool partner = listed.count({v, u}) != 0;
+      ASSERT_EQ(w[i] != 1, partner) << g.prep.num_atoms() << " atoms, visit (" << u
+                                    << " <- " << v << ") weight " << w[i];
+      if (partner) {
+        ASSERT_EQ(w[i], u < v ? 2 : 0) << "(" << u << " <- " << v << ")";
+        ++mutual;
+      }
+    }
+    EXPECT_GT(mutual, lists.near.size() / 4) << g.prep.num_atoms() << " atoms";
+  }
+}
+
+// (b) The weighted near sum equals the all-ordered-pairs sum (every visit at
+// weight 1, in its list orientation) up to summation association.
+TEST_F(WalkEvaluateTest, WeightedNearSumMatchesAllOrderedPairs) {
+  for (const Golden& g : goldens()) {
+    const auto n_aleaves = static_cast<std::uint32_t>(g.prep.atoms_tree.leaves().size());
+    for (const bool approx_math : {false, true}) {
+      ApproxParams params;
+      params.approx_math = approx_math;
+      const EpolSolver solver(g.prep, g.born, params, GBConstants{});
+      const InteractionLists lists = solver.build_lists(0, n_aleaves);
+      double all_pairs = 0.0;
+      for (const InteractionLists::Near& e : lists.near) {
+        const OctreeNode& u = g.prep.atoms_tree.node(e.target_leaf);
+        const OctreeNode& v = g.prep.atoms_tree.node(e.source_leaf);
+        all_pairs += near_kernel(g, approx_math, u.begin, u.end, v.begin, v.end);
+      }
+      double weighted = 0.0;
+      solver.accumulate_energy_near_range(lists, 0, lists.near.size(), weighted);
+      EXPECT_LE(rel_diff(weighted, all_pairs), 1e-12)
+          << g.prep.num_atoms() << " atoms, approx_math=" << approx_math;
+    }
+  }
+}
+
+// (d) Chunk pricing counts the pairs the half-pair evaluator computes:
+// count_half_pair_interactions equals the sum of |u| * |v| over the listed
+// visits of nonzero weight, for the full range and every chunk, while
+// sum(w * |u| * |v|) over the full list is every ordered pair once.
+TEST_F(WalkEvaluateTest, HalfPairCountsPriceTheWeightedVisits) {
+  for (const Golden& g : goldens()) {
+    const Octree& atoms = g.prep.atoms_tree;
+    const auto n_aleaves = static_cast<std::uint32_t>(atoms.leaves().size());
+    const ApproxParams params;
+    const EpolSolver solver(g.prep, g.born, params, GBConstants{});
+    const InteractionLists lists = solver.build_lists(0, n_aleaves);
+    const std::vector<int> w = entry_weights(g, lists);
+    const auto pairs = [&](std::size_t i) {
+      return static_cast<std::uint64_t>(atoms.node(lists.near[i].target_leaf).count()) *
+             atoms.node(lists.near[i].source_leaf).count();
+    };
+    std::uint64_t weighted_pairs = 0;
+    for (std::size_t i = 0; i < lists.near.size(); ++i)
+      weighted_pairs += static_cast<std::uint64_t>(w[i]) * pairs(i);
+    EXPECT_EQ(weighted_pairs, lists.near_point_pairs);
+    for (const Segment seg : ranges(g, n_aleaves)) {
+      const ListSlice slice = slice_of(lists, atoms, atoms, seg);
+      std::uint64_t evaluated = 0;
+      for (std::size_t i = slice.near_lo; i < slice.near_hi; ++i)
+        if (w[i] != 0) evaluated += pairs(i);
+      const InteractionCounts n = count_half_pair_interactions(
+          atoms, EpolSolver::walk_params(params, seg.lo, seg.hi));
+      EXPECT_EQ(n.near_point_pairs, evaluated)
+          << g.prep.num_atoms() << " atoms, leaves [" << seg.lo << ", " << seg.hi << ")";
     }
   }
 }

@@ -3,11 +3,16 @@
 #include "core/prepared.hpp"
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/incremental.hpp"
 #include "core/naive.hpp"
 #include "harness/campaign.hpp"
 #include "test_helpers.hpp"
@@ -133,6 +138,68 @@ TEST(PreparedEmptySurfaceTest, IonPairWithEmptySurfaceIsANumericalError) {
   } catch (const std::domain_error& e) {
     EXPECT_EQ(harness::Campaign::classify(e), ErrorClass::kNumerical) << e.what();
   }
+}
+
+::testing::AssertionResult numerical_error(const std::function<void()>& fn,
+                                           const std::string& expect_in_message) {
+  try {
+    fn();
+  } catch (const std::domain_error& e) {
+    const std::string msg = e.what();
+    if (harness::Campaign::classify(e) != ErrorClass::kNumerical)
+      return ::testing::AssertionFailure() << "not classified kNumerical: " << msg;
+    if (msg.find(expect_in_message) == std::string::npos)
+      return ::testing::AssertionFailure() << "message lacks '" << expect_in_message
+                                           << "': " << msg;
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "no std::domain_error was thrown";
+}
+
+// A negative radius used to be accepted and answered like radius 0
+// (-101.02 kcal/mol for this pair); non-finite fields poisoned the energy.
+// Each is rejected by Prepared::build, naming the atom and the field.
+TEST(PreparedInputValidationTest, NonFiniteFieldsAndNegativeRadiusAreNumericalErrors) {
+  const Molecule valid = ion_pair(3.0);
+  const surface::SurfaceQuadrature quad = surface::molecular_surface_quadrature(valid);
+  ASSERT_GT(quad.size(), 0u);
+  const auto build_with = [&](const std::function<void(Atom&)>& poison) {
+    return [&valid, &quad, poison]() {
+      Molecule mol = valid;
+      poison(mol.atoms()[1]);
+      (void)Prepared::build(mol, quad, 32);
+    };
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(numerical_error(build_with([](Atom& a) { a.radius = -1.5; }),
+                              "atom 1 has negative radius"));
+  EXPECT_TRUE(numerical_error(build_with([&](Atom& a) { a.radius = nan; }),
+                              "atom 1 has non-finite radius"));
+  EXPECT_TRUE(numerical_error(build_with([&](Atom& a) { a.charge = inf; }),
+                              "atom 1 has non-finite charge"));
+  EXPECT_TRUE(numerical_error(build_with([&](Atom& a) { a.pos.y = nan; }),
+                              "atom 1 has non-finite position"));
+  // A zero radius stays a valid input.
+  EXPECT_NO_THROW(build_with([](Atom& a) { a.radius = 0.0; })());
+}
+
+// Charges of 1e160 and -1 at 3 Angstrom are finite inputs whose energy
+// overflows to -inf. Every route rejects the answer instead of returning it.
+TEST(PreparedInputValidationTest, OverflowingEnergyIsANumericalErrorOnEveryRoute) {
+  const Molecule pair("overflow_pair", {Atom{Vec3{0, 0, 0}, 1.5, 1e160},
+                                        Atom{Vec3{3, 0, 0}, 1.5, -1.0}});
+  const surface::SurfaceQuadrature quad = surface::molecular_surface_quadrature(pair);
+  const Prepared prep = Prepared::build(pair, quad, 32);
+  const Engine engine(prep, ApproxParams{}, GBConstants{});
+  EXPECT_TRUE(numerical_error([&] { (void)engine.run(serial_options()); },
+                              "non-finite energy"));
+  EXPECT_TRUE(numerical_error([&] { (void)engine.run(cilk_options(2)); },
+                              "non-finite energy"));
+
+  TrajectoryDriver driver(pair);
+  const std::vector<Vec3> positions{pair.atom(0).pos, pair.atom(1).pos};
+  EXPECT_TRUE(numerical_error([&] { (void)driver.step(positions); }, "non-finite energy"));
 }
 
 TEST(Mat3Test, OuterTraceAndQuadraticForm) {

@@ -111,6 +111,28 @@ TEST(ServeTest, ColdThenCachedThenMemoizedAreAllBitIdenticalToDirect) {
   EXPECT_EQ(stats.cache_hits, 1u);
 }
 
+// An overflowing request (charges 1e160 and -1 at 3 Angstrom, energy -inf)
+// fails loudly instead of being answered, and the failure is not memoized:
+// repeating it fails again rather than replaying a stored -inf.
+TEST(ServeTest, NonFiniteAnswerThrowsAndIsNeverMemoized) {
+  const Molecule pair("overflow_pair", {Atom{Vec3{0, 0, 0}, 1.5, 1e160},
+                                        Atom{Vec3{3, 0, 0}, 1.5, -1.0}});
+  ServiceOptions options;
+  options.campaign_dir = "-";
+  Service service(options);
+  for (const char* id : {"first", "repeat"}) {
+    try {
+      (void)service.serve(make_request(pair, id));
+      ADD_FAILURE() << id << ": a non-finite energy was served";
+    } catch (const std::domain_error& e) {
+      EXPECT_NE(std::string(e.what()).find("numerical"), std::string::npos) << e.what();
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.memo_hits, 0u);
+  EXPECT_EQ(stats.served, 0u);
+}
+
 TEST(ServeTest, DeltaRoutedPosesMatchTheKColdMirrorDriver) {
   const Molecule base = molgen::synthetic_protein(200, 11);
   ServiceOptions options;
